@@ -39,22 +39,6 @@ FusedPlan make_fused_plan(std::span<const std::shared_ptr<const Plan>> plans) {
   return fused;
 }
 
-FusedPlan fuse_task_graphs(std::span<const dag::TaskGraph* const> graphs) {
-  FusedPlan fused;
-  size_t total = 0;
-  for (const auto* g : graphs) total += g->tasks.size();
-  fused.graph.tasks.reserve(total);
-  fused.ranks.reserve(total);
-  fused.parts.reserve(graphs.size());
-  for (const auto* g : graphs) {
-    const auto begin = fused.graph.append_offset(*g);
-    fused.parts.push_back(FusedPlan::Part{begin, begin + std::int32_t(g->tasks.size())});
-    const auto ranks = runtime::downward_ranks(*g);
-    fused.ranks.insert(fused.ranks.end(), ranks.begin(), ranks.end());
-  }
-  return fused;
-}
-
 FusedPlan make_homogeneous_fused_plan(std::shared_ptr<const Plan> base, int count) {
   FusedPlan fused;
   fused.stride = std::int32_t(base->graph.tasks.size());

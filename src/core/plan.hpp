@@ -119,23 +119,17 @@ struct FusedPlan {
 [[nodiscard]] Plan make_plan(int p, int q, const trees::TreeConfig& config,
                              kernels::FactorKind factor = kernels::FactorKind::QR);
 
-/// Fuses a batch of plans (in order) into one FusedPlan, materializing the
-/// disjoint-union graph. The plans are typically shared cache entries;
-/// heterogeneous shapes are fine. Homogeneous batches should prefer
+/// Fuses plans (in order) into one FusedPlan, materializing the
+/// disjoint-union graph — the one ad-hoc fusion: cached factor plans of
+/// mixed shapes, or per-request solve apply stages. The scheduling keys are
+/// the concatenated per-plan ranks (ranks never cross components), so
+/// nothing is recomputed. Homogeneous batches should prefer
 /// make_homogeneous_fused_plan (O(1) memory instead of count x base).
 [[nodiscard]] FusedPlan make_fused_plan(std::span<const std::shared_ptr<const Plan>> plans);
 
 /// Thin fused plan for `count` parts that all share `base`: no graph is
 /// materialized — part ranges are stride arithmetic over the base plan.
 [[nodiscard]] FusedPlan make_homogeneous_fused_plan(std::shared_ptr<const Plan> base, int count);
-
-/// Fuses ad-hoc task graphs (e.g. per-request solve apply-stages) into one
-/// scheduling component, carrying scheduling ranks along: each graph's
-/// downward ranks are computed and concatenated — ranks never cross
-/// components, so the concatenation is the fused graph's rank vector. The
-/// result reuses FusedPlan's heterogeneous (materialized) representation;
-/// `parts` gives each source graph's global task-index range.
-[[nodiscard]] FusedPlan fuse_task_graphs(std::span<const dag::TaskGraph* const> graphs);
 
 /// Critical path only. Builds the full plan internally (it is not cheaper
 /// than make_plan); provided for readability at call sites that sweep many

@@ -4,15 +4,9 @@
 // A session owns a persistent worker pool and a plan cache and amortizes
 // both across many factorizations — the "heavy traffic of repeated, often
 // small, QRs" regime where spawn-per-call scheduling overhead dominates
-// flops. Independent factorizations become DAG submissions on the shared
-// pool; a *batch* is fused into one submission (see below) so the scheduler
-// overlaps the tail of one factorization with the heads of the next.
-//
-// Every entry path routes on shape: tall/square inputs factor by QR, wide
-// inputs (m < n) by LQ on the transposed (reduction) grid — same trees,
-// same runtime, LQ kernels wrapping their QR duals. Solves follow suit:
-// least squares for tall inputs, the minimum-norm solution for wide ones
-// (L⁻¹b first, then the apply-Q̃ DAG — the stage order reverses).
+// flops. Every entry path routes on shape: tall/square inputs factor by QR,
+// wide inputs (m < n) by LQ on the transposed (reduction) grid; solves are
+// least squares for tall inputs and minimum norm for wide ones.
 //
 //   core::FactorSession session;                   // pool + plan cache
 //   auto fut = session.submit<double>(a.view(), opt);
@@ -22,8 +16,7 @@
 //   auto qrs = session.factorize_batch<double>(views, opt);  // 64 small QRs
 //
 //   auto x = session.solve_least_squares_async<double>(a.view(), b.view(), opt);
-//   ...                                            // factorize → Qᵀb → trsm,
-//   Matrix<double> sol = x.get();                  // all on the session pool
+//   Matrix<double> sol = x.get();                  // factor DAG, then apply DAG
 //
 //   auto qr2 = session.factorize_auto<double>(a.view());  // no TreeConfig:
 //   ...                       // the tree autotuner picks the paper-optimal
@@ -32,49 +25,63 @@
 //   auto stream = session.stream<double>();        // streaming fusion
 //   auto f1 = stream.push(a1.view());              // futures immediately;
 //   auto s2 = stream.push_solve(a2.view(), b2.view());  // pushes coalesce
-//   stream.close();                                // into the live fused
-//                                                  // submission (see below)
+//   stream.close();                                // into the live submission
 //
-// Batch fusion: factorize_batch concatenates the per-matrix DAGs into one
-// FusedPlan (cached per (shape, count) for homogeneous batches) and submits
-// it once — one deal of the initial ready set, one scheduling-key vector
-// (the concatenation of each plan's cached ranks, no rank sweep), one
-// completion walk. Per-matrix completion is detected by per-subgraph
-// sentinel counters: the last retiring task of each component fulfils that
-// matrix's promise, so early matrices resolve while the rest of the batch
-// is still running.
+// One request path. Every entry point — submit, submit_batch, both
+// solve_least_squares_async overloads, apply_q_async, and every FactorStream
+// push — admits a detail::Request and hands it to FactorSession::launch():
 //
-// Streaming fusion: a fixed batch still drains to one matrix's critical-path
-// tail before the next batch starts. FactorStream removes the batch
-// boundary: pushes return futures immediately and accumulate while the
-// in-flight work drains; each flush grafts the accumulated requests — fused
-// through the same FusedPlan machinery — onto the *live* pool submission
-// (ThreadPool::Stream, generation-counted ready sets), so workers flow from
-// the old generation's tail straight into the new generation's heads.
+//   * The request record holds its factorization (apply_q_async and the solve
+//     against a finished factorization borrow the caller's), a solve's rhs or
+//     the apply operand, and a stage that advances Factoring -> Applying ->
+//     Done, each step once, by CAS, asserted in debug builds.
+//   * launch() picks one graph for a component's parts — a lone part's own
+//     plan, the PlanCache's fused plan for parts sharing a plan (one deal, one
+//     cached scheduling-key vector), else one ad-hoc fusion — and arms a
+//     per-part sentinel: the last retiring task of a fused part ends its
+//     stage, so parts resolve as they drain. The completion callback settles
+//     the rest: a lone part's stage, and the parts a cancelled component left
+//     unfinished. A solve's factor stage ends by building its apply stage
+//     (TiledQr::start_solve owns the QR-vs-LQ stage order), its apply stage
+//     with TiledQr::finish_solve.
+//   * The request's Route is where components go: one-shot entry points make
+//     each its own pool submission (spread dealing, the caller's worker cap),
+//     so concurrent one-shots never wait behind each other; a FactorStream
+//     appends it to its live pool stream (component-affine dealing) when its
+//     cork, watermark, deadline and backpressure policy says so.
 //
-// Auto mode: wherever `Options::tree` is left disengaged, the batch,
-// pipeline, and stream paths route the shape through the session's tree
-// autotuner (choose_tree) — per input shape, memoized in the TuningTable —
-// so serving traffic never hand-picks a TreeConfig. The plain submit()
-// keeps the explicit-options contract (disengaged tree = the Greedy paper
+// So a submit is a one-part batch, a homogeneous batch one fused component,
+// a solve two components (factor, apply), and a streamed burst one graft per
+// plan plus one fused graft for all its ready solve tails.
+//
+// Auto mode: wherever `Options::tree` is left disengaged, the batch, solve
+// and stream paths route the shape through the session's tree autotuner
+// (choose_tree_for) — per input shape, memoized in the TuningTable — so
+// serving traffic never hand-picks a TreeConfig. The plain submit() keeps
+// the explicit-options contract (disengaged tree = the Greedy paper
 // default); use submit_auto for tuned single factorizations.
 //
-// Results are bitwise identical to TiledQr<T>::factorize on the same input
-// and tree: the same plan, the same kernels, and tasks that write disjoint
-// regions.
+// Results are bitwise identical to TiledQr<T>::factorize and
+// solve_least_squares on the same input and tree: the same plan, the same
+// kernels, and tasks that write disjoint regions.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/stringf.hpp"
@@ -88,8 +95,156 @@
 
 namespace tiledqr::core {
 
+class FactorSession;
 template <typename T>
 class FactorStream;
+
+namespace detail {
+
+/// A request's lifecycle. Each step is taken exactly once, by CAS, and
+/// asserted: a request can never resolve twice, and a cancelled component's
+/// mop-up fails exactly the parts still at the stage it ran them through.
+enum class Stage : std::uint8_t { Factoring, Applying, Done };
+
+template <typename T>
+struct Request;
+
+/// Where a request's components run and who hears of its progress: the
+/// session's one-shot pool submissions (FactorSession::OneShot) or a
+/// stream's live submission (FactorStream::State).
+template <typename T>
+struct Route {
+  Route() = default;
+  Route(const Route&) = delete;
+  Route& operator=(const Route&) = delete;
+  virtual ~Route() = default;
+  /// Runs one component: `fused`'s graph, `body` per task, `done` once every
+  /// task retired (the ThreadPool::submit contract).
+  virtual void send(const FusedPlan& fused, std::function<void(std::int32_t)> body,
+                    std::function<void(std::exception_ptr)> done,
+                    std::shared_ptr<const void> keepalive) = 0;
+  /// A request's apply stage is built; called by the task that ended its
+  /// factor stage (or by the entry point, for a borrowed factorization).
+  virtual void apply_ready(std::shared_ptr<Request<T>> req) = 0;
+  /// A component sent on this route retired, or failed to launch.
+  virtual void retired() {}
+  /// A request on this route settled its future.
+  virtual void resolved(const Request<T>&) {}
+};
+
+/// One request from admission to resolution: the record every session entry
+/// point and every stream push shares.
+template <typename T>
+struct Request {
+  /// The future's value type is the request's goal: a factorization, a
+  /// solve, or op(Q)·C.
+  using Promise = std::variant<std::promise<TiledQr<T>>, std::promise<Matrix<T>>,
+                               std::promise<TileMatrix<T>>>;
+
+  Request(std::shared_ptr<Route<T>> r, Promise p) : route(std::move(r)), promise(std::move(p)) {}
+
+  /// A new request on `route`; `future` receives its result.
+  template <typename R>
+  [[nodiscard]] static std::shared_ptr<Request> open(std::shared_ptr<Route<T>> route,
+                                                     std::future<R>& future) {
+    std::promise<R> promise;
+    future = promise.get_future();
+    return std::make_shared<Request>(std::move(route), std::move(promise));
+  }
+
+  std::shared_ptr<Route<T>> route;
+  Promise promise;
+  std::atomic<Stage> stage{Stage::Factoring};
+  /// The per-part sentinel: this part's tasks in the live component that
+  /// have yet to retire.
+  std::atomic<std::int32_t> remaining{0};
+  std::optional<TiledQr<T>> qr;          ///< its factorization; empty if apply-only
+  const TiledQr<T>* borrowed = nullptr;  ///< apply-only: the caller's factorization
+  Matrix<T> b;                           ///< solves: the rhs, input of start_solve
+  TileMatrix<T> c;                       ///< the apply stage's operand and result
+  ApplyTrans trans = ApplyTrans::ConjTrans;
+  /// The apply stage as a plan: its op(Q) graph plus scheduling ranks (no
+  /// elimination list).
+  std::shared_ptr<const Plan> apply_plan;
+  std::int64_t admit_ns = 0;  ///< stream requests: admission stamp (latency)
+
+  [[nodiscard]] const TiledQr<T>& factorization() const noexcept {
+    return borrowed ? *borrowed : *qr;
+  }
+  [[nodiscard]] bool solving() const noexcept { return promise.index() == 1; }
+  /// Whether an apply stage follows the factor stage: op(Q)·C requests, and
+  /// solves with at least one rhs column.
+  [[nodiscard]] bool applies() const noexcept {
+    return promise.index() == 2 || (solving() && b.cols() > 0);
+  }
+
+  /// Stage `s` drained. After the factor stage a request with an apply
+  /// stage builds it on the finished factorization and hands it to its
+  /// route; every other request resolves.
+  static void stage_done(const std::shared_ptr<Request>& req, Stage s) {
+    if (s == Stage::Applying || !req->applies()) {
+      req->resolve();
+      return;
+    }
+    req->advance(Stage::Factoring, Stage::Applying);
+    try {
+      const TiledQr<T>& f = req->factorization();
+      if (req->solving()) {
+        req->c = f.start_solve(ConstMatrixView<T>(req->b.view()));
+        req->trans = f.solve_trans();
+      }
+      Plan apply;
+      apply.graph = f.build_apply_graph(req->trans, req->c.nt());
+      apply.ranks = runtime::downward_ranks(apply.graph);
+      req->apply_plan = std::make_shared<const Plan>(std::move(apply));
+    } catch (...) {
+      req->fail(std::current_exception());
+      return;
+    }
+    req->route->apply_ready(req);
+  }
+
+  /// Settles the future with the request's value — the factorization, the
+  /// solve's finish_solve, or op(Q)·C — and tells the route. A throwing
+  /// solve tail fails the request instead.
+  void resolve() {
+    finish();
+    try {
+      if (auto* factored = std::get_if<0>(&promise))
+        factored->set_value(std::move(*qr));
+      else if (auto* solved = std::get_if<1>(&promise))
+        solved->set_value(b.cols() == 0 ? Matrix<T>(factorization().factors().n(), 0)
+                                        : factorization().finish_solve(c));
+      else
+        std::get<2>(promise).set_value(std::move(c));
+    } catch (...) {
+      std::visit([](auto& p) { p.set_exception(std::current_exception()); }, promise);
+    }
+    route->resolved(*this);
+  }
+
+  /// Settles the future with `error` and tells the route.
+  void fail(std::exception_ptr error) {
+    finish();
+    std::visit([&](auto& p) { p.set_exception(error); }, promise);
+    route->resolved(*this);
+  }
+
+ private:
+  void advance(Stage from, Stage to) {
+    const bool won = stage.compare_exchange_strong(from, to, std::memory_order_acq_rel);
+    TILEDQR_ASSERT(won);
+    (void)won;
+  }
+  /// The last step, from whichever stage the request is at.
+  void finish() {
+    const Stage at = stage.load(std::memory_order_acquire);
+    TILEDQR_ASSERT(at != Stage::Done);
+    advance(at, Stage::Done);
+  }
+};
+
+}  // namespace detail
 
 class FactorSession {
  public:
@@ -174,43 +329,17 @@ class FactorSession {
     return submit(TileMatrix<T>::from_dense(a, opt.nb), opt);
   }
 
-  /// Asynchronous factorization of a tiled matrix (consumed).
+  /// Asynchronous factorization of a tiled matrix (consumed) — a batch of
+  /// one, so it runs its own plan as one pool submission.
   /// `opt.threads > 0` caps how many pool workers this one factorization may
   /// occupy; 0 lets it spread over the whole pool. Caps above the pool size
   /// clamp to the pool, so 0, negative, and over-pool requests all mean
   /// "whole pool" — the invariant every session path shares.
   template <typename T>
   [[nodiscard]] std::future<TiledQr<T>> submit(TileMatrix<T> a, Options opt) {
-    struct Pending {
-      TiledQr<T> qr;
-      std::promise<TiledQr<T>> promise;
-    };
-    const int worker_cap = normalize_threads(opt);
-    auto state = std::make_shared<Pending>();
-    std::future<TiledQr<T>> future = state->promise.get_future();
-    try {
-      state->qr = TiledQr<T>::prepare(std::move(a), opt, cache_);
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    note_plan(state->qr.plan_);
-    const dag::TaskGraph& graph = state->qr.plan_->graph;
-    const int ib = state->qr.opt_.ib;
-    pool_.submit(
-        graph,
-        [raw = state.get(), ib](std::int32_t idx) {
-          TiledQr<T>& qr = raw->qr;
-          run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_, ib);
-        },
-        [state](std::exception_ptr error) {
-          if (error)
-            state->promise.set_exception(error);
-          else
-            state->promise.set_value(std::move(state->qr));
-        },
-        runtime::SchedulePriority::CriticalPath, worker_cap, state, &state->qr.plan_->ranks);
-    return future;
+    if (!opt.tree) opt.tree = trees::TreeConfig{};  // explicit options: Greedy, not the tuner
+    return std::move(
+        one_shot<TiledQr<T>, T>(1, [&](size_t) { return std::move(a); }, {}, opt).front());
   }
 
   /// Asynchronous batched factorization: fuses the batch into ONE pool
@@ -227,9 +356,10 @@ class FactorSession {
   template <typename T>
   [[nodiscard]] std::vector<std::future<TiledQr<T>>> submit_batch(
       std::span<const ConstMatrixView<T>> mats, const Options& opt) {
-    return submit_batch_impl<T>(
+    return one_shot<TiledQr<T>, T>(
         mats.size(),
-        [&mats, nb = opt.nb](size_t i) { return TileMatrix<T>::from_dense(mats[i], nb); }, opt);
+        [&mats, nb = opt.nb](size_t i) { return TileMatrix<T>::from_dense(mats[i], nb); }, {},
+        opt);
   }
 
   template <typename T>
@@ -243,8 +373,8 @@ class FactorSession {
   template <typename T>
   [[nodiscard]] std::vector<std::future<TiledQr<T>>> submit_batch(
       std::vector<TileMatrix<T>> mats, const Options& opt) {
-    return submit_batch_impl<T>(
-        mats.size(), [&mats](size_t i) { return std::move(mats[i]); }, opt);
+    return one_shot<TiledQr<T>, T>(
+        mats.size(), [&mats](size_t i) { return std::move(mats[i]); }, {}, opt);
   }
 
   /// Blocking batched factorization (one fused DAG; see submit_batch).
@@ -286,35 +416,12 @@ class FactorSession {
   template <typename T>
   [[nodiscard]] std::future<TileMatrix<T>> apply_q_async(const TiledQr<T>& qr, ApplyTrans trans,
                                                          TileMatrix<T> c) {
-    struct Apply {
-      dag::TaskGraph graph;
-      TileMatrix<T> c;
-      std::promise<TileMatrix<T>> promise;
-    };
-    auto state = std::make_shared<Apply>();
-    std::future<TileMatrix<T>> future = state->promise.get_future();
-    try {
+    return borrow<TileMatrix<T>>(qr, [&](detail::Request<T>& req) {
       TILEDQR_CHECK(c.mt() == qr.reduction_p() && c.nb() == qr.a_.nb(),
                     "apply_q_async: row tiling of C must match the factorization");
-      state->c = std::move(c);
-      state->graph = qr.build_apply_graph(trans, state->c.nt());
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    pool_.submit(
-        state->graph,
-        [raw = state.get(), &qr, trans](std::int32_t id) {
-          qr.run_apply_task(raw->graph.tasks[size_t(id)], trans, raw->c);
-        },
-        [state](std::exception_ptr error) {
-          if (error)
-            state->promise.set_exception(error);
-          else
-            state->promise.set_value(std::move(state->c));
-        },
-        runtime::SchedulePriority::CriticalPath, 0, state);
-    return future;
+      req.trans = trans;
+      req.c = std::move(c);
+    });
   }
 
   /// The factorization is borrowed until the future resolves — a temporary
@@ -322,152 +429,36 @@ class FactorSession {
   template <typename T>
   std::future<TileMatrix<T>> apply_q_async(TiledQr<T>&&, ApplyTrans, TileMatrix<T>) = delete;
 
-  /// Solve against a finished factorization. QR (m >= n): computes Qᵀb on
-  /// the pool, then the triangular solve on the worker that retires the
-  /// apply DAG. LQ (m < n): the stage order reverses — the L⁻¹b head runs
-  /// here on the calling thread (it is a small triangular solve), then the
-  /// apply-Q̃ DAG on the pool produces the minimum-norm solution directly.
-  /// `qr` is borrowed and must stay alive until the future resolves.
+  /// Solve against a finished factorization: the apply stage on the pool
+  /// between TiledQr's start_solve and finish_solve, which run here (for
+  /// LQ, the L⁻¹b head) and on the worker that retires the apply DAG (for
+  /// QR, the trsm tail). `qr` is borrowed and must stay alive until the
+  /// future resolves.
   template <typename T>
   [[nodiscard]] std::future<Matrix<T>> solve_least_squares_async(const TiledQr<T>& qr,
                                                                  ConstMatrixView<T> b) {
-    struct Solve {
-      dag::TaskGraph graph;
-      TileMatrix<T> c;
-      std::promise<Matrix<T>> promise;
-    };
-    auto state = std::make_shared<Solve>();
-    std::future<Matrix<T>> future = state->promise.get_future();
-    const bool lq = qr.kind() == kernels::FactorKind::LQ;
-    const ApplyTrans trans = lq ? ApplyTrans::NoTrans : ApplyTrans::ConjTrans;
-    try {
-      TILEDQR_CHECK(b.rows() == qr.a_.m(), "solve_least_squares_async: rhs row mismatch");
-      if (b.cols() == 0) {
-        state->promise.set_value(Matrix<T>(qr.a_.n(), 0));
-        return future;
-      }
-      state->c = lq ? qr.start_minimum_norm(b) : TileMatrix<T>::from_dense(b, qr.a_.nb());
-      state->graph = qr.build_apply_graph(trans, state->c.nt());
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    pool_.submit(
-        state->graph,
-        [raw = state.get(), &qr, trans](std::int32_t id) {
-          qr.run_apply_task(raw->graph.tasks[size_t(id)], trans, raw->c);
-        },
-        [state, &qr, lq](std::exception_ptr error) {
-          if (error) {
-            state->promise.set_exception(error);
-            return;
-          }
-          try {
-            state->promise.set_value(lq ? state->c.to_dense()
-                                        : qr.finish_least_squares(state->c));
-          } catch (...) {
-            state->promise.set_exception(std::current_exception());
-          }
-        },
-        runtime::SchedulePriority::CriticalPath, 0, state);
-    return future;
+    return borrow<Matrix<T>>(
+        qr, [&](detail::Request<T>& req) { req.b = copy_rhs(b, qr.a_.m()); });
   }
 
   template <typename T>
   std::future<Matrix<T>> solve_least_squares_async(TiledQr<T>&&, ConstMatrixView<T>) = delete;
 
-  /// The full solve pipeline, end-to-end on the session pool. QR (m >= n):
-  /// factorize A, apply Qᵀ to b, triangular-solve R x = (Qᵀb)[0:n]. LQ
-  /// (m < n): factorize A, triangular-solve L y = b, apply Q̃ to [y; 0] —
-  /// the minimum-norm solution; the stage order reverses, so the trsm runs
-  /// on the worker that retires the factorization and the apply DAG is the
-  /// final stage. Chained stages with no spawn-path fallback and no
-  /// intermediate blocking (each stage is submitted by the worker that
-  /// retires the previous one). `opt.threads > 0` caps the pool workers the
-  /// pipeline may occupy; a disengaged `opt.tree` is routed through the
-  /// autotuner for A's reduction-grid shape.
+  /// The full solve on the session pool: two DAG stages — factorize A, then
+  /// apply op(Q) to the rhs — with TiledQr's start_solve/finish_solve around
+  /// the second, each run by the worker that ends the stage before (no
+  /// intermediate blocking). Tall A: least squares, its trsm last. Wide A:
+  /// the minimum-norm solution, its L y = b trsm first. `opt.threads > 0`
+  /// caps the workers either stage may occupy; a disengaged `opt.tree` is
+  /// routed through the autotuner for A's reduction-grid shape.
   template <typename T>
   [[nodiscard]] std::future<Matrix<T>> solve_least_squares_async(ConstMatrixView<T> a,
                                                                  ConstMatrixView<T> b,
                                                                  Options opt) {
-    struct Pipeline {
-      TiledQr<T> qr;
-      TileMatrix<T> c;   ///< QR: b tiles -> Qᵀb; LQ: padded L⁻¹b -> Q̃[y;0]
-      Matrix<T> b;       ///< LQ only: dense rhs, tiled after the trsm head
-      dag::TaskGraph apply_graph;
-      std::promise<Matrix<T>> promise;
-    };
-    const int worker_cap = normalize_threads(opt);
-    auto state = std::make_shared<Pipeline>();
-    std::future<Matrix<T>> future = state->promise.get_future();
-    bool lq = false;
-    try {
-      TILEDQR_CHECK(b.rows() == a.rows(), "solve_least_squares_async: rhs row mismatch");
-      auto tiles = TileMatrix<T>::from_dense(a, opt.nb);
-      lq = tiles.m() < tiles.n();
-      if (!opt.tree) opt.tree = choose_tree_for(tiles, worker_cap);
-      state->qr = TiledQr<T>::prepare(std::move(tiles), opt, cache_);
-      if (b.cols() > 0) {
-        if (lq) {
-          state->b = Matrix<T>(b.rows(), b.cols());
-          copy(b, state->b.view());
-        } else {
-          state->c = TileMatrix<T>::from_dense(b, opt.nb);
-        }
-      }
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    note_plan(state->qr.plan_);
-    runtime::ThreadPool* pool = &pool_;
-    const ApplyTrans trans = lq ? ApplyTrans::NoTrans : ApplyTrans::ConjTrans;
-    pool_.submit(
-        state->qr.plan_->graph,
-        [raw = state.get(), ib = opt.ib](std::int32_t idx) {
-          TiledQr<T>& qr = raw->qr;
-          run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_, ib);
-        },
-        [state, pool, worker_cap, lq, trans](std::exception_ptr error) {
-          if (error) {
-            state->promise.set_exception(error);
-            return;
-          }
-          try {
-            const bool empty_rhs = lq ? state->b.cols() == 0 : state->c.n() == 0;
-            if (empty_rhs) {  // zero-column rhs: answer is n x 0
-              state->promise.set_value(Matrix<T>(state->qr.a_.n(), 0));
-              return;
-            }
-            if (lq)
-              state->c =
-                  state->qr.start_minimum_norm(ConstMatrixView<T>(state->b.view()));
-            state->apply_graph = state->qr.build_apply_graph(trans, state->c.nt());
-          } catch (...) {
-            state->promise.set_exception(std::current_exception());
-            return;
-          }
-          pool->submit(
-              state->apply_graph,
-              [raw = state.get(), trans](std::int32_t id) {
-                raw->qr.run_apply_task(raw->apply_graph.tasks[size_t(id)], trans, raw->c);
-              },
-              [state, lq](std::exception_ptr apply_error) {
-                if (apply_error) {
-                  state->promise.set_exception(apply_error);
-                  return;
-                }
-                try {
-                  state->promise.set_value(lq ? state->c.to_dense()
-                                              : state->qr.finish_least_squares(state->c));
-                } catch (...) {
-                  state->promise.set_exception(std::current_exception());
-                }
-              },
-              runtime::SchedulePriority::CriticalPath, worker_cap, state);
-        },
-        runtime::SchedulePriority::CriticalPath, worker_cap, state, &state->qr.plan_->ranks);
-    return future;
+    return std::move(
+        one_shot<Matrix<T>, T>(
+            1, [&](size_t) { return TileMatrix<T>::from_dense(a, opt.nb); }, b, opt)
+            .front());
   }
 
   // ------------------------------------------------------------- auto mode --
@@ -496,11 +487,7 @@ class FactorSession {
   template <typename T>
   [[nodiscard]] std::future<TiledQr<T>> submit_auto(TileMatrix<T> a, const AutoOptions& opt = {}) {
     validate_auto_options(opt);
-    Options full;
-    full.tree = choose_tree_for(a, opt.threads);
-    full.nb = a.nb();
-    full.ib = opt.ib;
-    full.threads = opt.threads;
+    const Options full{choose_tree_for(a, opt.threads), a.nb(), opt.ib, opt.threads};
     return submit(std::move(a), full);
   }
 
@@ -583,6 +570,194 @@ class FactorSession {
   template <typename U>
   friend class FactorStream;
 
+  /// The one-shot route: each component is its own closed pool submission
+  /// (spread dealing) capped at the request's worker cap — times the part
+  /// count for a fused batch, the aggregate concurrency per-matrix
+  /// submissions had (the cap arrives pre-clamped, so the product cannot
+  /// overflow). A solve's apply stage launches as soon as its factorization
+  /// drains.
+  template <typename T>
+  struct OneShot final : detail::Route<T> {
+    OneShot(FactorSession& s, int c) : session(s), cap(c) {}
+
+    void send(const FusedPlan& fused, std::function<void(std::int32_t)> body,
+              std::function<void(std::exception_ptr)> done,
+              std::shared_ptr<const void> keepalive) override {
+      const int workers =
+          cap > 0 ? int(std::min<long>(long(session.pool_.size()),
+                                       long(cap) * long(fused.part_count())))
+                  : 0;
+      session.pool_.submit(fused.component_graph(), std::move(body), std::move(done),
+                           runtime::SchedulePriority::CriticalPath, workers, std::move(keepalive),
+                           &fused.component_ranks(), fused.copies());
+    }
+    void apply_ready(std::shared_ptr<detail::Request<T>> req) override {
+      session.launch<T>({std::move(req)});
+    }
+
+    FactorSession& session;
+    int cap;  ///< ThreadPool worker cap per part; 0 = whole pool
+  };
+
+  /// One launched component: its parts, the graph it runs them through, and
+  /// the stage it runs. The pool holds it (keepalive) until the completion
+  /// callback has returned.
+  template <typename T>
+  struct Launch {
+    std::vector<std::shared_ptr<detail::Request<T>>> parts;
+    std::shared_ptr<const FusedPlan> fused;
+    detail::Stage stage = detail::Stage::Factoring;
+  };
+
+  /// The one launch: every component of every entry point starts here.
+  /// `parts` (non-empty) share a route and a stage. Picks the component
+  /// graph (fuse), arms each part's sentinel, and sends the component down
+  /// the route; each part's stage ends (Request::stage_done) on the worker
+  /// that retires its last task. A component that cannot launch — its
+  /// fusion fails to build, or a closed stream refuses it — fails only its
+  /// own parts and still counts as retired, so nothing queued behind it
+  /// strands.
+  template <typename T>
+  void launch(std::vector<std::shared_ptr<detail::Request<T>>> parts) {
+    auto l = std::make_shared<Launch<T>>();
+    l->stage = parts.front()->stage.load(std::memory_order_acquire);
+    l->parts = std::move(parts);
+    detail::Route<T>& route = *l->parts.front()->route;
+    try {
+      l->fused = fuse(l->parts, l->stage);
+      for (size_t i = 0; i < l->parts.size(); ++i) {
+        TILEDQR_ASSERT(l->parts[i]->stage.load(std::memory_order_relaxed) == l->stage);
+        l->parts[i]->remaining.store(l->fused->part_size(int(i)), std::memory_order_relaxed);
+      }
+      route.send(
+          *l->fused,
+          [raw = l.get()](std::int32_t idx) {
+            const FusedPlan& fused = *raw->fused;
+            const auto& req = raw->parts[size_t(fused.part_of(idx))];
+            if (raw->stage == detail::Stage::Factoring)
+              run_task_kernels(fused.task(idx), req->qr->a_, req->qr->t_, req->qr->t2_,
+                               req->qr->opt_.ib);
+            else
+              req->factorization().run_apply_task(fused.task(idx), req->trans, req->c);
+            // The per-part sentinel ends a fused part's stage as soon as its
+            // last task retires, while the rest of the component runs on
+            // (acq_rel pairs with the other workers' decrements, so their
+            // tile writes are visible to whatever the stage end reads).
+            if (raw->parts.size() > 1 &&
+                req->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
+              detail::Request<T>::stage_done(req, raw->stage);
+          },
+          [raw = l.get()](std::exception_ptr error) {
+            // The component retired: settle the parts no sentinel did. A lone
+            // part ends its stage here, once every task's trace and profile
+            // sample has landed; after a task threw, the parts the cancelled
+            // component left unfinished fail (finished ones keep their values).
+            for (const auto& req : raw->parts)
+              if (req->stage.load(std::memory_order_acquire) == raw->stage) {
+                if (error)
+                  req->fail(error);
+                else
+                  detail::Request<T>::stage_done(req, raw->stage);
+              }
+            raw->parts.front()->route->retired();
+          },
+          l);
+    } catch (...) {
+      const std::exception_ptr error = std::current_exception();
+      for (const auto& req : l->parts) req->fail(error);
+      route.retired();
+    }
+  }
+
+  /// The component graph for `parts` at `stage`: a lone part runs its own
+  /// plan; parts that share one plan run the PlanCache's fused plan for
+  /// that count; anything else is one ad-hoc fusion.
+  template <typename T>
+  [[nodiscard]] std::shared_ptr<const FusedPlan> fuse(
+      const std::vector<std::shared_ptr<detail::Request<T>>>& parts, detail::Stage stage) {
+    std::vector<std::shared_ptr<const Plan>> plans;
+    plans.reserve(parts.size());
+    for (const auto& req : parts)
+      plans.push_back(stage == detail::Stage::Factoring ? req->qr->plan_ : req->apply_plan);
+    const std::shared_ptr<const Plan>& front = plans.front();
+    if (parts.size() == 1)
+      return std::make_shared<const FusedPlan>(make_homogeneous_fused_plan(front, 1));
+    if (std::all_of(plans.begin(), plans.end(), [&](const auto& p) { return p == front; })) {
+      // Only cached factor plans are ever shared, so the front part's
+      // (normalized) tree is the fused-cache key for all of them.
+      TILEDQR_ASSERT(stage == detail::Stage::Factoring);
+      return cache_.get_fused(front->graph.p, front->graph.q, *parts.front()->qr->options().tree,
+                              int(parts.size()), front->graph.factor);
+    }
+    return std::make_shared<const FusedPlan>(make_fused_plan(plans));
+  }
+
+  /// Tiles and plans a request's factorization for a route capped at `cap`
+  /// workers: a disengaged tree routes through the autotuner for the input's
+  /// shape, and a solve copies its rhs `b`. A failure fails only this
+  /// request; returns whether it is ready to launch.
+  template <typename T, typename MakeTiles>
+  bool prepare(detail::Request<T>& req, MakeTiles&& make_tiles, ConstMatrixView<T> b,
+               Options opt, int cap) {
+    try {
+      TileMatrix<T> tiles = make_tiles();
+      if (req.solving()) req.b = copy_rhs(b, tiles.m());
+      if (!opt.tree) opt.tree = choose_tree_for(tiles, cap);
+      req.qr = TiledQr<T>::prepare(std::move(tiles), opt, cache_);
+    } catch (...) {
+      req.fail(std::current_exception());
+      return false;
+    }
+    note_plan(req.qr->plan_);
+    return true;
+  }
+
+  /// A solve's rhs, copied: the request outlives the caller's view.
+  template <typename T>
+  [[nodiscard]] static Matrix<T> copy_rhs(ConstMatrixView<T> b, std::int64_t rows) {
+    TILEDQR_CHECK(b.rows() == rows, "solve: rhs row count must match A");
+    Matrix<T> out(b.rows(), b.cols());
+    copy(b, out.view());
+    return out;
+  }
+
+  /// The one-shot entry: opens `count` requests whose futures carry R, tiles
+  /// and plans each (`make_tiles(i)` yields the i-th input; one whose tiling
+  /// or planning throws gets a pre-failed future, the rest proceed), and
+  /// launches the prepared ones as one component. `b` is a solve's rhs.
+  template <typename R, typename T, typename MakeTiles>
+  [[nodiscard]] std::vector<std::future<R>> one_shot(size_t count, MakeTiles&& make_tiles,
+                                                     ConstMatrixView<T> b, Options opt) {
+    auto route = std::make_shared<OneShot<T>>(*this, normalize_threads(opt));
+    std::vector<std::future<R>> futures(count);
+    std::vector<std::shared_ptr<detail::Request<T>>> parts;
+    for (size_t i = 0; i < count; ++i) {
+      auto req = detail::Request<T>::open(route, futures[i]);
+      if (prepare(*req, [&] { return make_tiles(i); }, b, opt, route->cap))
+        parts.push_back(std::move(req));
+    }
+    if (!parts.empty()) launch(std::move(parts));
+    return futures;
+  }
+
+  /// The apply-only entry: the factor stage is the caller's finished `qr`
+  /// (borrowed), so the request goes straight to its apply stage once
+  /// `fill` has set its operand; a throwing `fill` fails only the request.
+  template <typename R, typename T, typename Fill>
+  [[nodiscard]] std::future<R> borrow(const TiledQr<T>& qr, Fill&& fill) {
+    std::future<R> future;
+    auto req = detail::Request<T>::open(std::make_shared<OneShot<T>>(*this, 0), future);
+    req->borrowed = &qr;
+    try {
+      fill(*req);
+    } catch (...) {
+      req->fail(std::current_exception());
+      return future;
+    }
+    detail::Request<T>::stage_done(req, detail::Stage::Factoring);
+    return future;
+  }
+
   /// Remembers the most recently prepared plan so health_report() can join
   /// the live trace against a real DAG. A shared_ptr copy: plans are
   /// immutable and cache-owned, so this pins at most one plan's memory.
@@ -592,18 +767,12 @@ class FactorSession {
   }
 
   /// The one cap rule: <= 0 (and anything above the pool) means "whole
-  /// pool"; in-range caps pass through. Returned as a ThreadPool max_workers
-  /// argument (0 = uncapped).
-  [[nodiscard]] int clamp_cap(int requested) const noexcept {
-    return requested <= 0 ? 0 : std::min(requested, pool_.size());
-  }
-
-  /// Applies the cap rule to `opt.threads` in place (so the stored
-  /// per-factorization thread count never exceeds the pool — a 0 cap and an
-  /// over-pool cap leave identical state everywhere) and returns the
-  /// ThreadPool worker cap.
+  /// pool"; in-range caps pass through. Applied to `opt.threads` in place (so
+  /// the stored per-factorization thread count never exceeds the pool — a 0
+  /// cap and an over-pool cap leave identical state everywhere); returns the
+  /// ThreadPool worker cap (0 = uncapped).
   [[nodiscard]] int normalize_threads(Options& opt) const noexcept {
-    const int cap = clamp_cap(opt.threads);
+    const int cap = opt.threads <= 0 ? 0 : std::min(opt.threads, pool_.size());
     opt.threads = cap == 0 ? pool_.size() : cap;
     return cap;
   }
@@ -611,151 +780,6 @@ class FactorSession {
   static void validate_auto_options(const AutoOptions& opt) {
     TILEDQR_CHECK(opt.nb >= 1, stringf("AutoOptions::nb must be >= 1 (got %d)", opt.nb));
     TILEDQR_CHECK(opt.ib >= 1, stringf("AutoOptions::ib must be >= 1 (got %d)", opt.ib));
-  }
-
-  /// One matrix of a fused batch: its prepared factorization, its promise,
-  /// and the per-subgraph sentinel counter that detects component completion
-  /// inside the fused submission.
-  template <typename T>
-  struct BatchPart {
-    explicit BatchPart(TiledQr<T> q) : qr(std::move(q)) {}
-    TiledQr<T> qr;
-    std::promise<TiledQr<T>> promise;
-    std::atomic<std::int32_t> remaining{0};
-  };
-
-  /// Shared state of one fused batch submission (held alive by the pool's
-  /// keepalive until the completion callback has run).
-  template <typename T>
-  struct BatchState {
-    std::deque<BatchPart<T>> parts;           // successfully prepared inputs
-    FusedPlan owned;                          // heterogeneous batches
-    std::shared_ptr<const FusedPlan> cached;  // homogeneous batches
-    const FusedPlan* fused = nullptr;
-    int ib = 0;
-  };
-
-  /// Shared prepare loop of the submit_batch flavors: `make_tiles(i)` yields
-  /// the i-th input's TileMatrix (converting or moving). An input whose
-  /// tiling/planning throws gets a pre-failed future; the rest proceed. A
-  /// disengaged tree resolves through the autotuner per input shape (at the
-  /// per-matrix worker cap — the concurrency each matrix actually gets).
-  template <typename T, typename MakeTiles>
-  [[nodiscard]] std::vector<std::future<TiledQr<T>>> submit_batch_impl(size_t count,
-                                                                       MakeTiles&& make_tiles,
-                                                                       Options opt) {
-    const int worker_cap = normalize_threads(opt);
-    std::vector<std::future<TiledQr<T>>> futures;
-    futures.reserve(count);
-    auto batch = std::make_shared<BatchState<T>>();
-    batch->ib = opt.ib;
-    for (size_t i = 0; i < count; ++i) {
-      try {
-        TileMatrix<T> tiles = make_tiles(i);
-        Options per = opt;
-        if (!per.tree) per.tree = choose_tree_for(tiles, worker_cap);
-        batch->parts.emplace_back(TiledQr<T>::prepare(std::move(tiles), per, cache_));
-        note_plan(batch->parts.back().qr.plan_);
-        futures.push_back(batch->parts.back().promise.get_future());
-      } catch (...) {
-        std::promise<TiledQr<T>> failed;
-        futures.push_back(failed.get_future());
-        failed.set_exception(std::current_exception());
-      }
-    }
-    launch_batch(std::move(batch), worker_cap);
-    return futures;
-  }
-
-  /// Fuses the prepared parts into one pool submission. The per-part
-  /// promises are fulfilled by per-subgraph sentinel counters as each
-  /// component drains; the single completion callback only mops up after a
-  /// cancelled (failed) submission.
-  template <typename T>
-  void launch_batch(std::shared_ptr<BatchState<T>> batch, int worker_cap) {
-    if (batch->parts.empty()) return;
-
-    if (batch->parts.size() == 1) {
-      // Nothing to fuse: submit the lone component directly (and skip
-      // caching a redundant single-part fusion).
-      BatchPart<T>& part = batch->parts.front();
-      pool_.submit(
-          part.qr.plan_->graph,
-          [raw = batch.get()](std::int32_t idx) {
-            TiledQr<T>& qr = raw->parts.front().qr;
-            run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_, raw->ib);
-          },
-          [batch](std::exception_ptr error) {
-            BatchPart<T>& p = batch->parts.front();
-            if (error)
-              p.promise.set_exception(error);
-            else
-              p.promise.set_value(std::move(p.qr));
-          },
-          runtime::SchedulePriority::CriticalPath, worker_cap, batch, &part.qr.plan_->ranks);
-      return;
-    }
-
-    // One fused graph for the whole batch. Homogeneous batches (the common
-    // serving shape) reuse a cached fusion; mixed shapes fuse ad hoc.
-    const Plan* front_plan = batch->parts.front().qr.plan_.get();
-    bool homogeneous = true;
-    for (const auto& part : batch->parts)
-      if (part.qr.plan_.get() != front_plan) {
-        homogeneous = false;
-        break;
-      }
-    if (homogeneous) {
-      // Every part shares the front plan, so the front part's (normalized)
-      // tree is the fused-cache key for all of them.
-      batch->cached = cache_.get_fused(front_plan->graph.p, front_plan->graph.q,
-                                       *batch->parts.front().qr.options().tree,
-                                       int(batch->parts.size()), front_plan->graph.factor);
-      batch->fused = batch->cached.get();
-    } else {
-      std::vector<std::shared_ptr<const Plan>> plans;
-      plans.reserve(batch->parts.size());
-      for (const auto& part : batch->parts) plans.push_back(part.qr.plan_);
-      batch->owned = make_fused_plan(plans);
-      batch->fused = &batch->owned;
-    }
-    for (size_t i = 0; i < batch->parts.size(); ++i)
-      batch->parts[i].remaining.store(batch->fused->part_size(int(i)),
-                                      std::memory_order_relaxed);
-
-    // A per-submission cap applies to the whole fused graph, so scale the
-    // caller's per-matrix cap by the batch size to preserve the aggregate
-    // concurrency per-matrix submissions had (0 stays "whole pool"; the cap
-    // arrives pre-clamped, so the product cannot overflow).
-    if (worker_cap > 0)
-      worker_cap = int(std::min<long>(long(pool_.size()),
-                                      long(worker_cap) * long(batch->parts.size())));
-
-    pool_.submit(
-        batch->fused->component_graph(),
-        [raw = batch.get()](std::int32_t idx) {
-          const FusedPlan& fused = *raw->fused;
-          BatchPart<T>& part = raw->parts[size_t(fused.part_of(idx))];
-          TiledQr<T>& qr = part.qr;
-          run_task_kernels(fused.task(idx), qr.a_, qr.t_, qr.t2_, raw->ib);
-          // Per-subgraph sentinel: the last retiring task of this component
-          // fulfils its matrix's promise (acq_rel pairs with the other
-          // workers' decrements, so their tile writes are visible before the
-          // TiledQr is moved out).
-          if (part.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            part.promise.set_value(std::move(part.qr));
-        },
-        [batch](std::exception_ptr error) {
-          // Only reachable with unfinished parts when a task threw (the pool
-          // then cancels the rest of the submission).
-          for (auto& part : batch->parts)
-            if (part.remaining.load(std::memory_order_acquire) != 0)
-              part.promise.set_exception(
-                  error ? error
-                        : std::make_exception_ptr(Error("factorize_batch: cancelled")));
-        },
-        runtime::SchedulePriority::CriticalPath, worker_cap, batch,
-        &batch->fused->component_ranks(), batch->fused->copies());
   }
 
   /// Drains a submit_batch future set, preserving order. A single failure is
@@ -816,16 +840,16 @@ using QrSession = FactorSession;
 
 /// Streaming fusion handle (FactorSession::stream). push()/push_solve() return
 /// futures immediately; requests accumulate while the stream's in-flight
-/// work drains and every flush grafts them — coalesced into one fused
-/// component per plan via the session PlanCache's FusedPlan machinery — onto
+/// work drains and every flush grafts them — one launch per plan, fused
+/// through the session PlanCache when it carries several requests — onto
 /// the live pool submission. The amount of fusion adapts to the arrival
 /// rate: an idle stream grafts a push immediately (latency), a busy stream
 /// coalesces everything that arrived while it was busy (throughput).
 ///
 ///   auto stream = session.stream<double>();
 ///   auto f = stream.push(a.view());        // future resolves independently
-///   auto x = stream.push_solve(a2.view(), b.view());  // factor → Qᵀb → trsm,
-///                                          // chained into the same stream
+///   auto x = stream.push_solve(a2.view(), b.view());  // factor, then the
+///                                          // apply stage, same stream
 ///   stream.cork();                         // defer flushing…
 ///   for (auto& m : burst) futures.push_back(stream.push(m.view()));
 ///   stream.uncork();                       // …one fused graft for the burst
@@ -874,14 +898,7 @@ class FactorStream {
   /// deadline thread, the pool submission, and the live-stream gauge slot.
   FactorStream& operator=(FactorStream&& other) noexcept {
     if (this != &other) {
-      if (state_) {
-        try {
-          close();
-        } catch (...) {
-          // Same contract as the destructor: close() errors are only
-          // re-close races, never worth tearing down the process.
-        }
-      }
+      close_quietly();
       state_ = std::move(other.state_);
     }
     return *this;
@@ -889,14 +906,7 @@ class FactorStream {
   FactorStream(const FactorStream&) = delete;
   FactorStream& operator=(const FactorStream&) = delete;
 
-  ~FactorStream() {
-    if (!state_) return;
-    try {
-      close();
-    } catch (...) {
-      // Destructor must not throw; close() errors are only re-close races.
-    }
-  }
+  ~FactorStream() { close_quietly(); }
 
   /// Factorize a dense matrix (copied into tiled layout here, on the
   /// calling thread). Returns a future that resolves when this request's
@@ -908,77 +918,28 @@ class FactorStream {
   /// or rejected push allocates nothing.
   [[nodiscard]] std::future<TiledQr<T>> push(ConstMatrixView<T> a) {
     TILEDQR_CHECK(valid(), "FactorStream::push: moved-from or empty stream handle");
-    auto req = std::make_shared<Request>();
-    std::future<TiledQr<T>> future = req->promise.get_future();
-    if (std::exception_ptr rejected = admit()) {
-      req->promise.set_exception(std::move(rejected));
-      return future;
-    }
-    req->admit_ns = obs::now_ns();
-    try {
-      req->qr = prepare(TileMatrix<T>::from_dense(a, state_->opts.nb));
-    } catch (...) {
-      fail_request(state_, *req, std::current_exception());
-      return future;
-    }
-    enqueue(std::move(req));
-    return future;
+    return push_request<TiledQr<T>>(
+        [&] { return TileMatrix<T>::from_dense(a, state_->opts.nb); });
   }
 
   /// Pre-tiled flavor (consumed); the input keeps its own tile size.
   [[nodiscard]] std::future<TiledQr<T>> push(TileMatrix<T> a) {
     TILEDQR_CHECK(valid(), "FactorStream::push: moved-from or empty stream handle");
-    auto req = std::make_shared<Request>();
-    std::future<TiledQr<T>> future = req->promise.get_future();
-    if (std::exception_ptr rejected = admit()) {
-      req->promise.set_exception(std::move(rejected));
-      return future;
-    }
-    req->admit_ns = obs::now_ns();
-    try {
-      req->qr = prepare(std::move(a));
-    } catch (...) {
-      fail_request(state_, *req, std::current_exception());
-      return future;
-    }
-    enqueue(std::move(req));
-    return future;
+    return push_request<TiledQr<T>>([&] { return std::move(a); });
   }
 
-  /// Full solve pipeline for one request: factorize A, then chain the solve
-  /// stages into the same stream — Qᵀb apply + trsm for tall A, trsm head +
-  /// apply-Q̃ (minimum norm) for wide A. Apply stages of concurrent solves
-  /// coalesce: each flush grafts every ready apply graph as one fused
-  /// component (ROADMAP's "batched solve"). Results are bitwise identical to
+  /// Full solve for one request: factorize A, then its apply stage rides the
+  /// same stream (TiledQr::start_solve/finish_solve around it — least squares
+  /// for tall A, minimum norm for wide A). Apply stages of concurrent solves
+  /// coalesce: each flush grafts every ready apply stage as one fused
+  /// component. Results are bitwise identical to
   /// FactorSession::solve_least_squares_async(a, b, opt) with the same tree.
   /// Backpressure treats a solve as one request from admission until its
-  /// solution future resolves (the chained stages keep the slot).
+  /// solution future resolves (the apply stage keeps the slot).
   [[nodiscard]] std::future<Matrix<T>> push_solve(ConstMatrixView<T> a, ConstMatrixView<T> b) {
     TILEDQR_CHECK(valid(), "FactorStream::push_solve: moved-from or empty stream handle");
-    auto req = std::make_shared<Request>();
-    req->solve = true;
-    std::future<Matrix<T>> future = req->solve_promise.get_future();
-    if (std::exception_ptr rejected = admit()) {
-      req->solve_promise.set_exception(std::move(rejected));
-      return future;
-    }
-    req->admit_ns = obs::now_ns();
-    try {
-      TILEDQR_CHECK(b.rows() == a.rows(), "push_solve: rhs row mismatch");
-      req->qr = prepare(TileMatrix<T>::from_dense(a, state_->opts.nb));
-      if (req->qr.kind() == kernels::FactorKind::LQ) {
-        req->apply_trans = ApplyTrans::NoTrans;
-        req->b = Matrix<T>(b.rows(), b.cols());
-        copy(b, req->b.view());
-      } else if (b.cols() > 0) {
-        req->c = TileMatrix<T>::from_dense(b, state_->opts.nb);
-      }
-    } catch (...) {
-      fail_request(state_, *req, std::current_exception());
-      return future;
-    }
-    enqueue(std::move(req));
-    return future;
+    return push_request<Matrix<T>>(
+        [&] { return TileMatrix<T>::from_dense(a, state_->opts.nb); }, b);
   }
 
   /// Defers flushing: corked pushes accumulate (up to max_pending) so a
@@ -987,21 +948,13 @@ class FactorStream {
   /// — only uncork()/flush()/max_pending release it.
   void cork() {
     TILEDQR_CHECK(valid(), "FactorStream::cork: moved-from or empty stream handle");
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      state_->corked = true;
-    }
-    state_->retire_cv.notify_all();
+    set_corked(true);
   }
 
   /// Re-enables flushing and grafts everything pending now.
   void uncork() {
     TILEDQR_CHECK(valid(), "FactorStream::uncork: moved-from or empty stream handle");
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      state_->corked = false;
-    }
-    state_->retire_cv.notify_all();
+    set_corked(false);
     flush();
   }
 
@@ -1009,42 +962,20 @@ class FactorStream {
   /// caller's own uncorking — onto the live submission immediately.
   void flush() {
     TILEDQR_CHECK(valid(), "FactorStream::flush: moved-from or empty stream handle");
-    std::vector<Group> groups;
-    std::deque<std::shared_ptr<Request>> applies;
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      groups = take_groups_locked(*state_);
-      if (groups.empty()) ++state_->empty_flushes;
-      applies = take_applies_locked(*state_);
-    }
-    graft_applies(state_, std::move(applies));
-    graft(state_, std::move(groups));
+    graft_now(/*corked_too=*/true);
   }
 
   /// Grafts the uncorked backlog, then blocks until every request admitted
-  /// so far has resolved (including chained solve stages). The stream stays
+  /// so far has resolved (including apply stages). The stream stays
   /// open. Requests pushed concurrently with the drain may be waited on too.
   /// A peer's corked backlog is NOT claimed — the burst grafts as the one
   /// fused component cork() promised — so the drain parks on the retirement
   /// condvar until the corker uncorks (no flush/wait spinning).
   void drain() {
     TILEDQR_CHECK(valid(), "FactorStream::drain: moved-from or empty stream handle");
-    std::vector<Group> groups;
-    std::deque<std::shared_ptr<Request>> applies;
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      if (!state_->corked) {
-        groups = take_groups_locked(*state_);
-        // Count only claims actually attempted: a corked skip is deference,
-        // not an empty flush.
-        if (groups.empty()) ++state_->empty_flushes;
-      }
-      applies = take_applies_locked(*state_);
-    }
-    graft_applies(state_, std::move(applies));
-    graft(state_, std::move(groups));
+    graft_now(/*corked_too=*/false);
     std::unique_lock<std::mutex> lock(state_->mu);
-    state_->retire_cv.wait(lock, [&] { return state_->unresolved == 0; });
+    state_->retire_cv.wait(lock, [&] { return state_->tally.unresolved == 0; });
   }
 
   /// Drains, then seals the stream: further pushes throw Error. Idempotent.
@@ -1069,17 +1000,7 @@ class FactorStream {
   [[nodiscard]] Stats stats() const {
     TILEDQR_CHECK(valid(), "FactorStream::stats: moved-from or empty stream handle");
     std::lock_guard<std::mutex> lock(state_->mu);
-    Stats s;
-    s.pushed = state_->pushed;
-    s.components = state_->stream.generation();
-    s.fused_requests = state_->fused_requests.load(std::memory_order_relaxed);
-    s.pending = long(state_->pending.size());
-    s.unresolved = state_->unresolved;
-    s.peak_unresolved = state_->peak_unresolved;
-    s.rejected = state_->rejected;
-    s.deadline_flushes = state_->deadline_flushes;
-    s.empty_flushes = state_->empty_flushes;
-    return s;
+    return state_->snapshot_locked();
   }
 
   /// Ready-set generation of the underlying pool stream (components grafted).
@@ -1101,48 +1022,103 @@ class FactorStream {
  private:
   friend class FactorSession;
 
-  /// One pushed request: its prepared factorization, sentinel counter within
-  /// its graft, and (for solves) the rhs tiles + chained apply graph.
-  struct Request {
-    TiledQr<T> qr;
-    std::promise<TiledQr<T>> promise;
-    std::atomic<std::int32_t> remaining{0};
-    /// Sentinel counter for the fused *apply* graft — deliberately separate
-    /// from `remaining`: a peer's flush can claim and graft this request's
-    /// apply stage between the factor part's last task body and the factor
-    /// component's completion callback, so reusing one counter would let
-    /// that callback mistake a live apply count for an unfinished factor
-    /// part and fail an already-chained solve.
-    std::atomic<std::int32_t> apply_remaining{0};
-    bool solve = false;
-    TileMatrix<T> c;
-    /// Wide (LQ) solves only: the dense rhs. The apply operand `c` cannot be
-    /// tiled at push time — it is the padded L⁻¹b in the transposed-world
-    /// tiling, which exists only after the factorization's trsm head.
-    Matrix<T> b;
-    /// Transposed-world op for the chained apply stage: Qᵀ (ConjTrans) for
-    /// least squares, Q̃ (NoTrans) for the minimum-norm solve.
-    ApplyTrans apply_trans = ApplyTrans::ConjTrans;
-    dag::TaskGraph apply_graph;
-    std::promise<Matrix<T>> solve_promise;
-    /// Admission timestamp (obs::now_ns), stamped once a push holds its
-    /// backpressure slot; request_resolved turns it into the stream's
-    /// end-to-end latency sample. 0 = never admitted (no sample).
-    std::int64_t admit_ns = 0;
-  };
+  using Request = detail::Request<T>;
+  /// The requests of one graft (one launch).
+  using Parts = std::vector<std::shared_ptr<Request>>;
 
-  /// One graft: requests sharing a plan, fused when there is more than one.
-  struct Group {
-    std::vector<std::shared_ptr<Request>> reqs;
-    std::shared_ptr<const FusedPlan> fused;  // engaged iff reqs.size() > 1
-  };
+  /// Shared stream state, and the stream's Route: components are appended
+  /// to the live pool stream, solve tails wait in `ready_applies` for the
+  /// next flush point, and each resolution releases a backpressure slot.
+  /// Worker callbacks outlive the handle's stack frames, so everything they
+  /// touch lives here.
+  struct State final : detail::Route<T> {
+    void send(const FusedPlan& fused, std::function<void(std::int32_t)> body,
+              std::function<void(std::exception_ptr)> done,
+              std::shared_ptr<const void> keepalive) override {
+      stream.append(fused.component_graph(), std::move(body), std::move(done),
+                    std::move(keepalive), &fused.component_ranks(), fused.copies());
+    }
 
-  /// Shared stream state: worker completion callbacks outlive the handle's
-  /// stack frames, so everything they touch lives here.
-  struct State {
+    /// Queues a solve tail; every flush point grafts the whole queue as ONE
+    /// fused component, so a burst of solves pays one graft for all its
+    /// apply stages. No flush is needed here: the factor component that
+    /// called this has not retired yet, and its retirement flushes the queue.
+    void apply_ready(std::shared_ptr<Request> req) override {
+      std::lock_guard<std::mutex> lock(mu);
+      ready_applies.push_back(std::move(req));
+    }
+
+    /// A grafted component retired: ready solve tails graft at once — they
+    /// are latency-critical and already hold slots, so neither the cork nor
+    /// the watermark applies to them — and if the in-flight window fell to
+    /// the watermark with work pending (arrivals outpaced this drain), the
+    /// backlog grafts too: the hand-off that keeps workers flowing across
+    /// what used to be batch boundaries.
+    void retired() override {
+      std::vector<Parts> grafts;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        --inflight;
+        claim_applies_locked(grafts);
+        if (!corked && inflight <= long(opts.low_watermark)) claim_backlog_locked(grafts);
+      }
+      retire_cv.notify_all();
+      graft(*this, std::move(grafts));
+    }
+
+    /// Records the request's end-to-end latency, releases its backpressure
+    /// slot, and wakes drain()ers / Block-ed pushers.
+    void resolved(const Request& req) override {
+      latency.record_ns(obs::now_ns() - req.admit_ns);
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        --tally.unresolved;
+      }
+      retire_cv.notify_all();
+    }
+
+    /// Claims the pending backlog as one graft per distinct plan — so a
+    /// mixed-shape stream still fuses everything of each shape — accounted
+    /// in flight. Caller holds mu. Linear scan: pending is bounded by
+    /// max_pending and distinct plans are few. False if nothing was pending.
+    bool claim_backlog_locked(std::vector<Parts>& out) {
+      if (pending.empty()) return false;
+      const size_t first = out.size();
+      for (auto& req : pending) {
+        auto home = std::find_if(out.begin() + long(first), out.end(), [&](const Parts& g) {
+          return &g.front()->qr->plan() == &req->qr->plan();
+        });
+        if (home == out.end()) home = out.insert(out.end(), Parts{});
+        home->push_back(std::move(req));
+      }
+      pending.clear();
+      inflight += long(out.size() - first);
+      for (size_t g = first; g < out.size(); ++g)
+        if (out[g].size() > 1) tally.fused_requests += long(out[g].size());
+      return true;
+    }
+
+    /// Claims the ready solve tails as ONE graft, accounted in flight.
+    /// Caller holds mu.
+    void claim_applies_locked(std::vector<Parts>& out) {
+      if (ready_applies.empty()) return;
+      out.emplace_back(std::make_move_iterator(ready_applies.begin()),
+                       std::make_move_iterator(ready_applies.end()));
+      ready_applies.clear();
+      ++inflight;
+    }
+
+    [[nodiscard]] Stats snapshot_locked() const {
+      Stats s = tally;
+      s.pending = long(pending.size());
+      s.components = stream.generation();
+      return s;
+    }
+
     FactorSession* session = nullptr;
     runtime::ThreadPool::Stream stream;
     FactorSession::StreamOptions opts;
+    Options factor_opt;  ///< what every push factors with (tree, nb, ib, threads)
     int worker_cap = 0;  ///< pre-clamped; the tuner keys on this concurrency
 
     mutable std::mutex mu;
@@ -1154,25 +1130,15 @@ class FactorStream {
     bool corked = false;
     bool closed = false;
     std::deque<std::shared_ptr<Request>> pending;
-    /// Solve requests whose factorization finished and whose apply graph is
-    /// built: instead of each grafting its own component, they accumulate
-    /// here and every flush point grafts them as ONE fused component
-    /// (fuse_task_graphs), so a burst of streamed solves pays one graft for
-    /// all its apply stages.
-    std::deque<std::shared_ptr<Request>> ready_applies;
+    std::deque<std::shared_ptr<Request>> ready_applies;  ///< built solve tails
     long inflight = 0;  ///< grafted components not yet retired
-    long pushed = 0;
-    long unresolved = 0;  ///< admitted requests whose future hasn't resolved
-    long peak_unresolved = 0;
-    long rejected = 0;
-    long deadline_flushes = 0;
-    long empty_flushes = 0;
+    /// The Stats counters; `pending` and `components` are read live instead.
+    Stats tally;
     /// When the pending backlog last went empty -> non-empty; the deadline
     /// thread grafts at oldest_pending + flush_deadline.
     std::chrono::steady_clock::time_point oldest_pending{};
     /// Engaged only when flush_deadline > 0; joined by close().
     std::thread deadline_thread;
-    std::atomic<long> fused_requests{0};  ///< bumped outside mu (graft)
     /// End-to-end request latency (admission -> future resolution), exported
     /// through the registry source below. Atomic; recorded outside mu.
     obs::Histogram latency;
@@ -1195,7 +1161,8 @@ class FactorStream {
     TILEDQR_CHECK(opts.flush_deadline.count() >= 0,
                   "StreamOptions::flush_deadline must be >= 0, 0 = no deadline");
     state_->session = session;
-    state_->worker_cap = session->clamp_cap(opts.threads);
+    state_->factor_opt = Options{opts.tree, opts.nb, opts.ib, opts.threads};
+    state_->worker_cap = session->normalize_threads(state_->factor_opt);
     state_->opts = std::move(opts);
     state_->stream =
         session->pool_.open_stream(state_->worker_cap, state_->opts.affinity_hint);
@@ -1208,20 +1175,26 @@ class FactorStream {
                                    : "stream." + state_->opts.label,
         [s = state_.get()](std::vector<obs::Sample>& out) {
           std::lock_guard<std::mutex> lock(s->mu);
-          out.push_back({"pushed", double(s->pushed)});
-          out.push_back({"components", double(s->stream.generation())});
-          out.push_back({"fused_requests",
-                         double(s->fused_requests.load(std::memory_order_relaxed))});
-          out.push_back({"pending", double(s->pending.size())});
-          out.push_back({"unresolved", double(s->unresolved)});
-          out.push_back({"peak_unresolved", double(s->peak_unresolved)});
-          out.push_back({"rejected", double(s->rejected)});
-          out.push_back({"deadline_flushes", double(s->deadline_flushes)});
-          out.push_back({"empty_flushes", double(s->empty_flushes)});
+          const Stats st = s->snapshot_locked();
+          out.push_back({"pushed", double(st.pushed)});
+          out.push_back({"components", double(st.components)});
+          out.push_back({"fused_requests", double(st.fused_requests)});
+          out.push_back({"pending", double(st.pending)});
+          out.push_back({"unresolved", double(st.unresolved)});
+          out.push_back({"peak_unresolved", double(st.peak_unresolved)});
+          out.push_back({"rejected", double(st.rejected)});
+          out.push_back({"deadline_flushes", double(st.deadline_flushes)});
+          out.push_back({"empty_flushes", double(st.empty_flushes)});
           s->latency.append_samples("latency", out);
         });
     if (state_->opts.flush_deadline.count() > 0)
       state_->deadline_thread = std::thread(&FactorStream::deadline_main, state_);
+  }
+
+  /// Launches claimed grafts, outside mu (planning a new fusion must not
+  /// block pushes).
+  static void graft(State& s, std::vector<Parts> grafts) {
+    for (auto& parts : grafts) s.session->launch(std::move(parts));
   }
 
   /// Body of the per-stream deadline thread (flush_deadline > 0): sleeps
@@ -1242,10 +1215,11 @@ class FactorStream {
         state->retire_cv.wait_until(lock, due);
         continue;  // re-evaluate: the backlog may have been claimed meanwhile
       }
-      auto groups = take_groups_locked(*state);
-      ++state->deadline_flushes;
+      std::vector<Parts> grafts;
+      state->claim_backlog_locked(grafts);
+      ++state->tally.deadline_flushes;
       lock.unlock();
-      graft(state, std::move(groups));
+      graft(*state, std::move(grafts));
       lock.lock();
     }
   }
@@ -1260,366 +1234,102 @@ class FactorStream {
     State& s = *state_;
     std::unique_lock<std::mutex> lock(s.mu);
     TILEDQR_CHECK(!s.closed, "FactorStream: push on a closed stream");
-    if (s.opts.max_queued > 0 && s.unresolved >= long(s.opts.max_queued)) {
+    if (s.opts.max_queued > 0 && s.tally.unresolved >= long(s.opts.max_queued)) {
       if (s.opts.overflow == FactorSession::StreamOverflow::Reject) {
-        ++s.rejected;
+        ++s.tally.rejected;
         return std::make_exception_ptr(Error(
             stringf("FactorStream: backpressure reject — stream already holds max_queued=%d "
                     "unresolved requests (StreamOptions::overflow = Reject)",
                     s.opts.max_queued)));
       }
       s.retire_cv.wait(lock,
-                       [&] { return s.closed || s.unresolved < long(s.opts.max_queued); });
+                       [&] { return s.closed || s.tally.unresolved < long(s.opts.max_queued); });
       TILEDQR_CHECK(!s.closed, "FactorStream: push on a closed stream");
     }
-    ++s.unresolved;
-    s.peak_unresolved = std::max(s.peak_unresolved, s.unresolved);
+    ++s.tally.unresolved;
+    s.tally.peak_unresolved = std::max(s.tally.peak_unresolved, s.tally.unresolved);
     return nullptr;
   }
 
-  /// A request's user-facing future resolved (value or error): record its
-  /// end-to-end latency, release its backpressure slot, and wake drain()ers
-  /// / Block-ed pushers.
-  static void request_resolved(const std::shared_ptr<State>& state, const Request& req) {
-    if (req.admit_ns > 0) state->latency.record_ns(obs::now_ns() - req.admit_ns);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      --state->unresolved;
+  /// close() for the destructor and move-assign, which must not throw; its
+  /// errors are only re-close races, never worth tearing down the process.
+  void close_quietly() noexcept {
+    if (!state_) return;
+    try {
+      close();
+    } catch (...) {
     }
-    state->retire_cv.notify_all();
   }
 
-  /// Tile → plan, resolving a disengaged tree through the autotuner for this
-  /// input's shape at the stream's worker cap.
-  [[nodiscard]] TiledQr<T> prepare(TileMatrix<T> tiles) {
-    Options opt;
-    opt.nb = state_->opts.nb;
-    opt.ib = state_->opts.ib;
-    opt.threads = state_->worker_cap == 0 ? state_->session->pool_.size() : state_->worker_cap;
-    opt.tree = state_->opts.tree
-                   ? *state_->opts.tree
-                   : state_->session->choose_tree_for(tiles, state_->worker_cap);
-    TiledQr<T> qr = TiledQr<T>::prepare(std::move(tiles), opt, state_->session->cache_);
-    state_->session->note_plan(qr.plan_);
-    return qr;
+  /// The one push path: admission first (nothing is allocated for a blocked
+  /// or rejected push), then a request on this stream's route, tiled and
+  /// planned by the session — a disengaged tree autotuned for the input's
+  /// shape at the stream's worker cap — and queued for the next graft.
+  template <typename R, typename MakeTiles>
+  [[nodiscard]] std::future<R> push_request(MakeTiles&& make_tiles, ConstMatrixView<T> b = {}) {
+    if (std::exception_ptr rejected = admit()) {
+      std::promise<R> refused;  // never admitted: there is no slot to release
+      refused.set_exception(std::move(rejected));
+      return refused.get_future();
+    }
+    std::future<R> future;
+    auto req = Request::open(state_, future);
+    req->admit_ns = obs::now_ns();
+    if (state_->session->prepare(*req, make_tiles, b, state_->factor_opt, state_->worker_cap))
+      enqueue(std::move(req));
+    return future;
+  }
+
+  void set_corked(bool corked) {
+    {
+      std::lock_guard<std::mutex> lock(state_->mu);
+      state_->corked = corked;
+    }
+    state_->retire_cv.notify_all();
+  }
+
+  /// Grafts the ready solve tails and the backlog — a corked backlog only
+  /// when `corked_too` (a skipped corked backlog is deference, not an empty
+  /// flush).
+  void graft_now(bool corked_too) {
+    std::vector<Parts> grafts;
+    {
+      std::lock_guard<std::mutex> lock(state_->mu);
+      state_->claim_applies_locked(grafts);
+      if ((corked_too || !state_->corked) && !state_->claim_backlog_locked(grafts))
+        ++state_->tally.empty_flushes;
+    }
+    graft(*state_, std::move(grafts));
   }
 
   void enqueue(std::shared_ptr<Request> req) {
-    std::vector<Group> groups;
+    std::vector<Parts> grafts;
     {
       std::lock_guard<std::mutex> lock(state_->mu);
       if (state_->closed) {
         // Push-vs-close race: the close won. Give the admission slot back
         // before reporting the caller bug, so the closing drain terminates.
-        --state_->unresolved;
+        --state_->tally.unresolved;
         state_->retire_cv.notify_all();
         throw Error("FactorStream: push on a closed stream");
       }
       if (state_->pending.empty())
         state_->oldest_pending = std::chrono::steady_clock::now();
       state_->pending.push_back(std::move(req));
-      ++state_->pushed;
+      ++state_->tally.pushed;
       // Flush when the in-flight window fell to the watermark (default 0:
       // the stream ran dry with nothing to hide behind) or the coalescing
       // bound is hit; a corked stream defers the former but still bounds
       // its memory with the latter.
       const bool full = long(state_->pending.size()) >= long(state_->opts.max_pending);
       if (full || (!state_->corked && state_->inflight <= long(state_->opts.low_watermark)))
-        groups = take_groups_locked(*state_);
+        state_->claim_backlog_locked(grafts);
     }
     // Only a request that actually stayed pending re-arms the deadline
     // thread's watch; a push that grafted immediately left nothing to age.
-    if (groups.empty() && state_->opts.flush_deadline.count() > 0)
+    if (grafts.empty() && state_->opts.flush_deadline.count() > 0)
       state_->retire_cv.notify_all();
-    graft(state_, std::move(groups));
-  }
-
-  /// Groups the pending requests by plan — one graft per distinct plan, so
-  /// a mixed-shape stream still fuses everything of each shape — and
-  /// accounts them in flight. Caller holds s.mu; the actual appends happen
-  /// outside the lock in graft(). Linear scan: pending is bounded by
-  /// max_pending and distinct plans are few.
-  /// Claims the ready-apply queue for one fused graft, accounting it in
-  /// flight (a single component regardless of how many solves it carries).
-  /// Caller holds s.mu.
-  [[nodiscard]] static std::deque<std::shared_ptr<Request>> take_applies_locked(State& s) {
-    std::deque<std::shared_ptr<Request>> applies;
-    if (!s.ready_applies.empty()) {
-      applies.swap(s.ready_applies);
-      ++s.inflight;
-    }
-    return applies;
-  }
-
-  [[nodiscard]] static std::vector<Group> take_groups_locked(State& s) {
-    std::vector<Group> groups;
-    if (s.pending.empty()) return groups;
-    for (auto& req : s.pending) {
-      Group* home = nullptr;
-      for (auto& g : groups)
-        if (g.reqs.front()->qr.plan_.get() == req->qr.plan_.get()) {
-          home = &g;
-          break;
-        }
-      if (!home) home = &groups.emplace_back();
-      home->reqs.push_back(std::move(req));
-    }
-    s.pending.clear();
-    s.inflight += long(groups.size());
-    return groups;
-  }
-
-  /// Appends one component per group onto the live submission. Fused plans
-  /// are resolved here, outside the stream mutex (planning a new (shape,
-  /// count) fusion must not block pushes); a group whose fusion fails to
-  /// build — or whose append is refused (close race) — fails only its own
-  /// requests, and retires its inflight slot so nothing pended behind it is
-  /// stranded and close()'s drain still terminates.
-  static void graft(const std::shared_ptr<State>& state, std::vector<Group> groups) {
-    for (auto& g : groups) {
-      if (g.reqs.size() > 1) {
-        try {
-          const Plan& plan = *g.reqs.front()->qr.plan_;
-          g.fused = state->session->cache_.get_fused(plan.graph.p, plan.graph.q,
-                                                     *g.reqs.front()->qr.options().tree,
-                                                     int(g.reqs.size()), plan.graph.factor);
-          state->fused_requests.fetch_add(long(g.reqs.size()), std::memory_order_relaxed);
-        } catch (...) {
-          for (auto& req : g.reqs) fail_request(state, *req, std::current_exception());
-          // Account the failed graft like a retired one — including the
-          // backlog check, so a request pended behind this group is not
-          // stranded when the stream went otherwise idle.
-          on_component_retired(state);
-          continue;
-        }
-      }
-      if (g.reqs.size() == 1) {
-        auto req = g.reqs.front();
-        try {
-          state->stream.append(
-              req->qr.plan_->graph,
-              [raw = req.get()](std::int32_t idx) {
-                TiledQr<T>& qr = raw->qr;
-                run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_,
-                                 qr.opt_.ib);
-              },
-              [state, req](std::exception_ptr error) {
-                if (error)
-                  fail_request(state, *req, error);
-                else
-                  finish_request(state, req);
-                on_component_retired(state);
-              },
-              req, &req->qr.plan_->ranks);
-        } catch (...) {
-          fail_request(state, *req, std::current_exception());
-          on_component_retired(state);
-        }
-        continue;
-      }
-      auto group = std::make_shared<Group>(std::move(g));
-      for (size_t i = 0; i < group->reqs.size(); ++i)
-        group->reqs[i]->remaining.store(group->fused->part_size(int(i)),
-                                        std::memory_order_relaxed);
-      try {
-        state->stream.append(
-            group->fused->component_graph(),
-            [state, raw = group.get()](std::int32_t idx) {
-              const FusedPlan& fused = *raw->fused;
-              const size_t part = size_t(fused.part_of(idx));
-              Request& req = *raw->reqs[part];
-              TiledQr<T>& qr = req.qr;
-              run_task_kernels(fused.task(idx), qr.a_, qr.t_, qr.t2_, qr.opt_.ib);
-              // Per-request sentinel, exactly the batch-fusion machinery: the
-              // last retiring task of this part resolves its request early.
-              if (req.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-                finish_request(state, raw->reqs[part]);
-            },
-            [state, group](std::exception_ptr error) {
-              // Unfinished parts only exist when a task threw (the component
-              // was cancelled); resolved parts already kept their values.
-              for (auto& req : group->reqs)
-                if (req->remaining.load(std::memory_order_acquire) != 0)
-                  fail_request(state, *req,
-                               error ? error
-                                     : std::make_exception_ptr(
-                                           Error("FactorStream: component cancelled")));
-              on_component_retired(state);
-            },
-            group, &group->fused->component_ranks(), group->fused->copies());
-      } catch (...) {
-        auto error = std::current_exception();
-        for (auto& req : group->reqs) fail_request(state, *req, error);
-        on_component_retired(state);
-      }
-    }
-  }
-
-  /// A request's factorization finished (sentinel or single-component
-  /// completion). Plain pushes resolve; solves build their apply stage (for
-  /// wide inputs the L⁻¹b trsm head runs here, on the worker that got here)
-  /// and queue it on ready_applies — the next flush point grafts every
-  /// queued apply as one fused component. Progress is guaranteed without a
-  /// flush here: the factor component this request rode in on has not
-  /// retired yet, and its retirement callback flushes the queue.
-  static void finish_request(const std::shared_ptr<State>& state,
-                             const std::shared_ptr<Request>& req) {
-    if (!req->solve) {
-      req->promise.set_value(std::move(req->qr));
-      request_resolved(state, *req);
-      return;
-    }
-    try {
-      const bool lq = req->qr.kind() == kernels::FactorKind::LQ;
-      if (lq ? req->b.cols() == 0 : req->c.n() == 0) {  // zero-column rhs
-        req->solve_promise.set_value(Matrix<T>(req->qr.a_.n(), 0));
-        request_resolved(state, *req);
-        return;
-      }
-      if (lq) req->c = req->qr.start_minimum_norm(ConstMatrixView<T>(req->b.view()));
-      req->apply_graph = req->qr.build_apply_graph(req->apply_trans, req->c.nt());
-    } catch (...) {
-      req->solve_promise.set_exception(std::current_exception());
-      request_resolved(state, *req);
-      return;
-    }
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->ready_applies.push_back(req);
-  }
-
-  /// The apply stage of one solve finished: the trsm tail (QR) or the dense
-  /// gather (LQ — the trsm already ran before the apply) resolves the
-  /// solution future.
-  static void finish_apply(const std::shared_ptr<State>& state,
-                           const std::shared_ptr<Request>& req) {
-    try {
-      req->solve_promise.set_value(req->apply_trans == ApplyTrans::NoTrans
-                                       ? req->c.to_dense()
-                                       : req->qr.finish_least_squares(req->c));
-    } catch (...) {
-      req->solve_promise.set_exception(std::current_exception());
-    }
-    request_resolved(state, *req);
-  }
-
-  /// Grafts the claimed ready_applies as ONE component: a single apply graph
-  /// when one solve is ready, otherwise the rank-carrying disjoint union
-  /// (fuse_task_graphs) of every queued apply graph, with per-request
-  /// sentinels resolving each solution as its part drains. The caller
-  /// already accounted the graft in `inflight`. Safe even though the factor
-  /// components may not have retired yet: the pool stream admits appends
-  /// from task bodies and completion callbacks.
-  static void graft_applies(const std::shared_ptr<State>& state,
-                            std::deque<std::shared_ptr<Request>> applies) {
-    if (applies.empty()) return;
-    if (applies.size() == 1) {
-      auto req = applies.front();
-      try {
-        state->stream.append(
-            req->apply_graph,
-            [raw = req.get()](std::int32_t id) {
-              raw->qr.run_apply_task(raw->apply_graph.tasks[size_t(id)], raw->apply_trans,
-                                     raw->c);
-            },
-            [state, req](std::exception_ptr error) {
-              if (error)
-                fail_request(state, *req, error);
-              else
-                finish_apply(state, req);
-              on_component_retired(state);
-            },
-            req);
-      } catch (...) {
-        // Close race: the pool stream refused the stage. Fail the solve and
-        // retire the phantom graft, or the inflight/unresolved accounting
-        // leaks and the request's future never resolves.
-        fail_request(state, *req, std::current_exception());
-        on_component_retired(state);
-      }
-      return;
-    }
-    struct ApplyGroup {
-      std::vector<std::shared_ptr<Request>> reqs;
-      FusedPlan fused;
-    };
-    auto group = std::make_shared<ApplyGroup>();
-    group->reqs.assign(std::make_move_iterator(applies.begin()),
-                       std::make_move_iterator(applies.end()));
-    try {
-      std::vector<const dag::TaskGraph*> graphs;
-      graphs.reserve(group->reqs.size());
-      for (const auto& req : group->reqs) graphs.push_back(&req->apply_graph);
-      group->fused = fuse_task_graphs(graphs);
-    } catch (...) {
-      auto error = std::current_exception();
-      for (auto& req : group->reqs) fail_request(state, *req, error);
-      on_component_retired(state);
-      return;
-    }
-    for (size_t i = 0; i < group->reqs.size(); ++i)
-      group->reqs[i]->apply_remaining.store(group->fused.part_size(int(i)),
-                                            std::memory_order_relaxed);
-    try {
-      state->stream.append(
-          group->fused.component_graph(),
-          [state, raw = group.get()](std::int32_t idx) {
-            const FusedPlan& fused = raw->fused;
-            const size_t part = size_t(fused.part_of(idx));
-            Request& req = *raw->reqs[part];
-            req.qr.run_apply_task(fused.task(idx), req.apply_trans, req.c);
-            // Per-request sentinel, same machinery as the factor grafts: the
-            // last retiring apply task of this part resolves its solution.
-            if (req.apply_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-              finish_apply(state, raw->reqs[part]);
-          },
-          [state, group](std::exception_ptr error) {
-            for (auto& req : group->reqs)
-              if (req->apply_remaining.load(std::memory_order_acquire) != 0)
-                fail_request(state, *req,
-                             error ? error
-                                   : std::make_exception_ptr(
-                                         Error("FactorStream: component cancelled")));
-            on_component_retired(state);
-          },
-          group, &group->fused.component_ranks());
-    } catch (...) {
-      auto error = std::current_exception();
-      for (auto& req : group->reqs) fail_request(state, *req, error);
-      on_component_retired(state);
-    }
-  }
-
-  /// Fails a request's user-facing future and releases its admission slot.
-  static void fail_request(const std::shared_ptr<State>& state, Request& req,
-                           std::exception_ptr error) {
-    if (req.solve)
-      req.solve_promise.set_exception(std::move(error));
-    else
-      req.promise.set_exception(std::move(error));
-    request_resolved(state, req);
-  }
-
-  /// A grafted component retired: if the in-flight window fell to the
-  /// watermark with work pending (arrivals outpaced this drain), graft the
-  /// backlog now — this is the hand-off that keeps workers flowing across
-  /// what used to be batch boundaries.
-  static void on_component_retired(const std::shared_ptr<State>& state) {
-    std::vector<Group> groups;
-    std::deque<std::shared_ptr<Request>> applies;
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      --state->inflight;
-      // Ready apply stages flush unconditionally — they are latency-critical
-      // solve tails whose requests already hold slots, so neither the cork
-      // nor the watermark applies to them.
-      applies = take_applies_locked(*state);
-      if (!state->corked && state->inflight <= long(state->opts.low_watermark) &&
-          !state->pending.empty())
-        groups = take_groups_locked(*state);
-    }
-    state->retire_cv.notify_all();
-    graft_applies(state, std::move(applies));
-    graft(state, std::move(groups));
+    graft(*state_, std::move(grafts));
   }
 
   std::shared_ptr<State> state_;

@@ -387,27 +387,21 @@ class TiledQr {
     return c.to_dense();
   }
 
-  /// The triangular-solve tail of least squares: given the tiled Qᵀb,
-  /// extracts the top n rows and solves R x = (Qᵀb)[0:n, :]. Split out so
-  /// QrSession's async pipeline can run it on a pool worker after the
-  /// apply-Qᵀ DAG drains.
-  [[nodiscard]] Matrix<T> finish_least_squares(const TileMatrix<T>& qtb_tiles) const {
-    Matrix<T> qtb = qtb_tiles.to_dense();
-    const std::int64_t n = a_.n();
-    Matrix<T> x(n, qtb.cols());
-    copy(ConstMatrixView<T>(qtb.sub(0, 0, n, qtb.cols())), x.view());
-    Matrix<T> r = r_factor();
-    blas::trsm(blas::Side::Left, blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit,
-               T(1), r.sub(0, 0, n, n), x.view());
-    return x;
+  /// The solve's apply op: Qᴴ for least squares (QR), Q̃ for the
+  /// minimum-norm solve (LQ).
+  [[nodiscard]] ApplyTrans solve_trans() const noexcept {
+    return kind_ == kernels::FactorKind::LQ ? ApplyTrans::NoTrans : ApplyTrans::ConjTrans;
   }
 
-  /// The triangular head of the minimum-norm solve: y = L^{-1} b on the
-  /// logical m x m triangle (the zero-padded tile triangle is singular, so
-  /// the solve must use element dimensions), padded to length n and tiled in
-  /// the transposed-world row tiling, ready for the apply-Q̃ DAG. Split out
-  /// so the session's async pipeline can run the apply stage on the pool.
-  [[nodiscard]] TileMatrix<T> start_minimum_norm(ConstMatrixView<T> b) const {
+  /// Solve stage 1 of start_solve -> apply solve_trans() -> finish_solve,
+  /// the split every solve runs (solve_least_squares here, the session's
+  /// async solves with the apply stage on the pool), so this pair alone
+  /// owns the QR-vs-LQ stage order. QR tiles b; its triangular solve comes
+  /// last. LQ solves L y = b first — on the logical m x m triangle, since
+  /// the zero-padded tile triangle is singular — and tiles [y; 0] in the
+  /// transposed-world row tiling. b is m x nrhs with nrhs >= 1.
+  [[nodiscard]] TileMatrix<T> start_solve(ConstMatrixView<T> b) const {
+    if (kind_ == kernels::FactorKind::QR) return TileMatrix<T>::from_dense(b, a_.nb());
     const std::int64_t m = a_.m();
     Matrix<T> ypad(a_.n(), b.cols());
     copy(b, ypad.sub(0, 0, m, b.cols()));
@@ -418,28 +412,37 @@ class TiledQr {
     return TileMatrix<T>::from_dense(ConstMatrixView<T>(ypad.view()), a_.nb());
   }
 
+  /// Solve stage 3: QR solves R x = (Qᴴb)[0:n, :]; for LQ, Q̃ [y; 0] already
+  /// is the minimum-norm solution.
+  [[nodiscard]] Matrix<T> finish_solve(const TileMatrix<T>& c) const {
+    if (kind_ == kernels::FactorKind::LQ) return c.to_dense();
+    Matrix<T> qtb = c.to_dense();
+    const std::int64_t n = a_.n();
+    Matrix<T> x(n, qtb.cols());
+    copy(ConstMatrixView<T>(qtb.sub(0, 0, n, qtb.cols())), x.view());
+    Matrix<T> r = r_factor();
+    blas::trsm(blas::Side::Left, blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit,
+               T(1), r.sub(0, 0, n, n), x.view());
+    return x;
+  }
+
   /// Minimum-norm solution of the underdetermined system A x = b for wide A
   /// (m < n): y = L^{-1} b, x = Q^H y = Q̃ [y; 0]. b is m x nrhs.
   [[nodiscard]] Matrix<T> solve_minimum_norm(ConstMatrixView<T> b) const {
     TILEDQR_CHECK(kind_ == kernels::FactorKind::LQ,
                   "solve_minimum_norm: requires a wide (LQ) factorization");
-    TILEDQR_CHECK(b.rows() == a_.m(), "solve_minimum_norm: rhs row mismatch");
-    if (b.cols() == 0) return Matrix<T>(a_.n(), 0);
-    TileMatrix<T> c = start_minimum_norm(b);
-    apply_q(ApplyTrans::NoTrans, c, opt_.threads);
-    return c.to_dense();
+    return solve_least_squares(b);
   }
 
   /// Least squares: min_x || A x - b ||_2 for tall A (m >= n), or the
   /// minimum-norm solution of A x = b for wide A (m < n); b is m x nrhs.
   /// nrhs == 0 is a valid degenerate system (the answer is n x 0).
   [[nodiscard]] Matrix<T> solve_least_squares(ConstMatrixView<T> b) const {
-    if (kind_ == kernels::FactorKind::LQ) return solve_minimum_norm(b);
     TILEDQR_CHECK(b.rows() == a_.m(), "solve_least_squares: rhs row mismatch");
     if (b.cols() == 0) return Matrix<T>(a_.n(), 0);
-    auto c = TileMatrix<T>::from_dense(b, a_.nb());
-    apply_q(ApplyTrans::ConjTrans, c, opt_.threads);
-    return finish_least_squares(c);
+    TileMatrix<T> c = start_solve(b);
+    apply_q(solve_trans(), c, opt_.threads);
+    return finish_solve(c);
   }
 
   /// Solves the square system A x = b via QR (unconditionally stable, paper
@@ -451,8 +454,6 @@ class TiledQr {
 
  private:
   friend class FactorSession;
-  template <typename U>
-  friend class FactorStream;
 
   /// Only prepare() and FactorSession build TiledQr objects: a default-
   /// constructed one would have a null plan_, so the constructor is not

@@ -160,7 +160,12 @@ struct ThreadPool::Submission {
   /// retire race (exactly one side sees both conditions and finalizes).
   std::atomic<bool> closed{false};
   std::atomic<long> generation{0};  ///< components appended (ready-set generation)
+  /// Components whose last task retired — counted *before* the completion
+  /// callback, so a callback's chained graft already observes retired().
   std::atomic<long> retired_components{0};
+  /// Components whose completion callback has returned — what wait() waits
+  /// on, so it never returns while a callback's effects are still landing.
+  std::atomic<long> completed_components{0};
   std::atomic<long> inflight{0};  ///< appended minus retired
   std::atomic<bool> done{false};  ///< closed && everything retired
   int first_worker = 0;
@@ -671,7 +676,7 @@ void ThreadPool::finalize_if_drained(Submission& sub) {
 
 void ThreadPool::wait_stream(const std::shared_ptr<Submission>& sub, long up_to_generation) {
   auto drained = [&] {
-    return sub->retired_components.load(std::memory_order_acquire) >= up_to_generation;
+    return sub->completed_components.load(std::memory_order_acquire) >= up_to_generation;
   };
   if (tl_pool == this) {
     // Waiting from a pool worker (e.g. a task body draining a stream it
@@ -995,6 +1000,7 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
     comp.keys_owned = std::vector<long>();
     comp.npred = std::vector<std::atomic<std::int32_t>>();
     Submission& sub = *comp.owner;
+    sub.completed_components.fetch_add(1, std::memory_order_release);
     comp.retired.store(true, std::memory_order_release);  // last touch of comp
     if (sub.stream) {
       // Drop the fully-retired prefix so a long-lived stream's component

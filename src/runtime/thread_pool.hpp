@@ -197,14 +197,16 @@ class ThreadPool {
     /// No further appends; idempotent. Does not block — pair with wait().
     void close();
 
-    /// Blocks until every component appended before this call has retired.
-    /// Callable with the stream still open (drain-and-continue) or after
-    /// close(). Safe from a pool worker: the caller helps execute.
+    /// Blocks until every component appended before this call has retired
+    /// and its completion callback has returned. Callable with the stream
+    /// still open (drain-and-continue) or after close(). Safe from a pool
+    /// worker: the caller helps execute.
     void wait();
 
     /// Components appended so far — the ready set's generation count.
     [[nodiscard]] long generation() const noexcept;
-    /// Components fully retired so far.
+    /// Components fully retired so far (counted before their completion
+    /// callbacks run, so a callback observes its own component retired).
     [[nodiscard]] long retired() const noexcept;
     [[nodiscard]] bool closed() const noexcept;
 

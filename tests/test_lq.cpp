@@ -166,8 +166,9 @@ TEST(LqFactorization, BitwiseDeterministicAcrossPinAffineSweep) {
 // ------------------------------------------------------------ shape routing --
 
 TEST(LqRouting, WideShapesRouteThroughEverySessionPath) {
-  // submit, stream push, and the fused batch all route on element shape:
-  // m < n goes LQ, and all three produce bitwise-identical factors.
+  // submit and stream push route on element shape: m < n goes LQ, and both
+  // produce bitwise-identical factors (the batch, solve and apply paths are
+  // covered by WideInputsRunTheBatchSolveAndApplyPaths).
   const TreeConfig tree{};
   Options opt;
   opt.tree = tree;
@@ -191,6 +192,65 @@ TEST(LqRouting, WideShapesRouteThroughEverySessionPath) {
   auto streamed = pushed.get();
   ASSERT_EQ(streamed.kind(), FactorKind::LQ);
   expect_bitwise(streamed.factors().to_dense(), want, "stream push");
+}
+
+TEST(LqRouting, WideInputsRunTheBatchSolveAndApplyPaths) {
+  // The session paths the routing test above leaves out, on one wide input:
+  // a homogeneous batch rides the cached LQ fused plan; the pipeline solve,
+  // the solve against a finished factorization and the streamed push_solve
+  // agree bit for bit on the minimum-norm solution; and an apply_q_async
+  // Q̃ / Q̃ᴴ round trip on the LQ factorization restores its operand.
+  const TreeConfig tree{};
+  Options opt;
+  opt.tree = tree;
+  opt.nb = 16;
+  opt.ib = 8;
+  auto a = random_matrix<double>(2 * 16 - 1, 5 * 16 - 3, 81);
+  auto b = random_matrix<double>(2 * 16 - 1, 2, 82);
+  const auto want = replay_sequential_lq(a, opt.nb, opt.ib, tree);
+
+  QrSession session(QrSession::Config{2});
+  std::vector<ConstMatrixView<double>> views(3, ConstMatrixView<double>(a.view()));
+  auto batch = session.factorize_batch(views, opt);
+  ASSERT_EQ(batch.size(), 3u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(batch[i].kind(), FactorKind::LQ);
+    expect_bitwise(batch[i].factors().to_dense(), want, "wide batch part " + std::to_string(i));
+  }
+  EXPECT_EQ(session.plan_cache_stats().fused_misses, 1);
+  EXPECT_EQ(session.plan_cache_stats().fused_entries, 1u);
+
+  auto pipeline = session.solve_least_squares_async(ConstMatrixView<double>(a.view()),
+                                                    ConstMatrixView<double>(b.view()), opt);
+  auto borrowed = session.solve_least_squares_async(batch[0], ConstMatrixView<double>(b.view()));
+  QrSession::StreamOptions sopt;
+  sopt.nb = opt.nb;
+  sopt.ib = opt.ib;
+  sopt.tree = tree;
+  auto stream = session.stream<double>(sopt);
+  auto streamed = stream.push_solve(ConstMatrixView<double>(a.view()),
+                                    ConstMatrixView<double>(b.view()));
+  stream.close();
+  const auto x = pipeline.get();
+  ASSERT_EQ(x.rows(), a.cols());
+  expect_bitwise(borrowed.get(), x, "solve against the batch factorization");
+  expect_bitwise(streamed.get(), x, "stream push_solve");
+  expect_bitwise(batch[0].solve_least_squares(b.view()), x, "synchronous solve");
+  Matrix<double> ax(b.rows(), b.cols());
+  blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0, a.view(), x.view(), 0.0, ax.view());
+  EXPECT_LE(double(difference_norm<double>(ax.view(), b.view()) /
+                   frobenius_norm<double>(b.view())),
+            1e-12);
+
+  // C lives in the transposed world: as many rows as A has columns.
+  auto c0 = random_matrix<double>(a.cols(), 3, 83);
+  auto c = TileMatrix<double>::from_dense(c0.view(), opt.nb);
+  c = session.apply_q_async(batch[0], core::ApplyTrans::NoTrans, std::move(c)).get();
+  c = session.apply_q_async(batch[0], core::ApplyTrans::ConjTrans, std::move(c)).get();
+  auto back = c.to_dense();
+  EXPECT_LE(double(difference_norm<double>(back.view(), c0.view()) /
+                   frobenius_norm<double>(c0.view())),
+            1e-13);
 }
 
 TEST(LqRouting, MixedTallAndWideBatchRoutesPerMatrix) {

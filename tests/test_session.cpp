@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <thread>
 #include <vector>
 
 #include "core/qr_session.hpp"
@@ -298,6 +299,43 @@ TEST(QrSession, StreamQoSKnobsDoNotChangeResults) {
     for (std::int64_t j = 0; j < results[0].cols(); ++j)
       for (std::int64_t r = 0; r < results[0].rows(); ++r)
         ASSERT_EQ(results[i](r, j), results[0](r, j)) << "request " << i;
+}
+
+TEST(QrSession, EntryPointsKeepTheirSubmissionShape) {
+  // The performance invariant of the one request path: each one-shot entry
+  // point is a fixed number of plain pool submissions, never a stream. A
+  // submit is one component, a homogeneous batch of 4 one fused component
+  // (one fused-plan miss), and a solve two: factor, then apply.
+  QrSession session(QrSession::Config{2});
+  auto opt = small_opt();
+  auto a = random_matrix<double>(4 * 32, 2 * 32, 31);
+  auto b = random_matrix<double>(4 * 32, 1, 32);
+  // A fused batch's futures resolve in their parts' last tasks, before the
+  // pool retires the component, so let the retirement count catch up (and
+  // give a stray extra component time to show) before reading it.
+  auto completed_once = [&](long expected) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (session.pool_stats().graphs_completed < expected &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return session.pool_stats().graphs_completed;
+  };
+
+  (void)session.submit(ConstMatrixView<double>(a.view()), opt).get();
+  EXPECT_EQ(completed_once(1), 1) << "submit";
+
+  std::vector<ConstMatrixView<double>> views(4, ConstMatrixView<double>(a.view()));
+  for (auto& f : session.submit_batch(views, opt)) (void)f.get();
+  EXPECT_EQ(completed_once(2), 2) << "homogeneous submit_batch of 4";
+  EXPECT_EQ(session.plan_cache_stats().fused_misses, 1);
+
+  (void)session
+      .solve_least_squares_async(ConstMatrixView<double>(a.view()),
+                                 ConstMatrixView<double>(b.view()), opt)
+      .get();
+  EXPECT_EQ(completed_once(4), 4) << "solve_least_squares_async(a, b, opt)";
+  EXPECT_EQ(session.pool_stats().streams_opened, 0);
 }
 
 TEST(QrSession, SessionOutlivesNothingItHandsOut) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -459,6 +460,30 @@ TEST(ThreadPoolStream, TwoStreamsInterleaveFairly) {
   const auto half = order.substr(0, size_t(k));
   EXPECT_GE(std::count(half.begin(), half.end(), 'A'), k / 8) << order;
   EXPECT_GE(std::count(half.begin(), half.end(), 'B'), k / 8) << order;
+}
+
+TEST(ThreadPoolStream, WaitCoversCompletionCallbacks) {
+  // wait() must not return while a component's completion callback is still
+  // running: callers read the callback's effects right after it. The body
+  // retires the component at once; the callback then sleeps, and wait() is
+  // called well inside that sleep.
+  ThreadPool pool(2);
+  auto g = one_task_graph();
+  auto stream = pool.open_stream();
+  std::atomic<bool> body_ran{false};
+  std::atomic<bool> callback_done{false};
+  stream.append(
+      g, [&](std::int32_t) { body_ran.store(true); },
+      [&](std::exception_ptr) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        callback_done.store(true);
+      });
+  while (!body_ran.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  stream.wait();
+  EXPECT_TRUE(callback_done.load());
+  EXPECT_EQ(stream.retired(), 1);
+  stream.close();
 }
 
 TEST(ThreadPoolStream, LiveStreamGaugeTracksOpenAndClose) {
