@@ -9,6 +9,7 @@
 
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "obs/trace.hpp"
 
 namespace tiledqr::obs {
@@ -25,15 +26,6 @@ void append_number(std::string& out, double v) {
     std::snprintf(buf, sizeof(buf), "%.6g", v);
     out += buf;
   }
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -228,7 +220,7 @@ std::string MetricsRegistry::Snapshot::to_json() const {
     if (!first) out += ",";
     first = false;
     out += "\n  ";
-    append_escaped(out, s.name);
+    out += json::quote(s.name);
     out += ": ";
     append_number(out, s.value);
   }

@@ -7,6 +7,7 @@
 
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/timer.hpp"
 #include "kernels/kernels.hpp"
 
@@ -27,25 +28,6 @@ struct TrackLease {
 namespace {
 
 thread_local TrackLease tl_lease;
-
-void write_escaped(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xF] << "0123456789abcdef"[c & 0xF];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
 
 // Microseconds with nanosecond fraction, printed without float formatting
 // state on the stream.
@@ -234,8 +216,7 @@ void Tracer::export_chrome_json(std::ostream& out) const {
   for (const auto& t : tracks) {
     out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << t.tid
         << ",\"args\":{\"name\":";
-    write_escaped(out, t.name);
-    out << "}}";
+    out << json::quote(t.name) << "}}";
     for (const auto& e : t.events) {
       const char* name = e.kind < kernels::kNumKernelKinds
                              ? kernels::kernel_name(static_cast<kernels::KernelKind>(e.kind))

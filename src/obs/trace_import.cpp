@@ -1,212 +1,24 @@
 #include "obs/trace_import.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
+#include "common/stringf.hpp"
 #include "kernels/kernels.hpp"
 
 namespace tiledqr::obs {
 
 namespace {
 
-// Minimal JSON value + recursive-descent parser — just enough for the
-// exporter's output (and tolerant of fields it doesn't know). Kept local:
-// the library has no JSON dependency and this is the only import site.
-struct Json {
-  enum class Type { Null, Bool, Number, String, Array, Object };
-  Type type = Type::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::map<std::string, Json> obj;
-
-  [[nodiscard]] const Json* find(const std::string& k) const {
-    auto it = obj.find(k);
-    return it == obj.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] double num_or(double fallback) const {
-    return type == Type::Number ? number : fallback;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::istream& in) {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    text_ = buf.str();
-  }
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    TILEDQR_CHECK(pos_ == text_.size(), "trace import: trailing data after JSON document");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    TILEDQR_CHECK(pos_ < text_.size(), "trace import: unexpected end of JSON");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    TILEDQR_CHECK(peek() == c, std::string("trace import: expected '") + c + "' at offset " +
-                                   std::to_string(pos_));
-    ++pos_;
-  }
-
-  Json value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': {
-        Json v;
-        v.type = Json::Type::String;
-        v.str = string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        Json v;
-        v.type = Json::Type::Bool;
-        v.boolean = text_[pos_] == 't';
-        literal(v.boolean ? "true" : "false");
-        return v;
-      }
-      case 'n': {
-        literal("null");
-        return Json{};
-      }
-      default: return number();
-    }
-  }
-
-  void literal(const char* word) {
-    for (const char* c = word; *c != '\0'; ++c, ++pos_) {
-      TILEDQR_CHECK(pos_ < text_.size() && text_[pos_] == *c,
-                    std::string("trace import: bad literal, expected ") + word);
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      TILEDQR_CHECK(pos_ < text_.size(), "trace import: unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      TILEDQR_CHECK(pos_ < text_.size(), "trace import: unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          TILEDQR_CHECK(pos_ + 4 <= text_.size(), "trace import: bad \\u escape");
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= unsigned(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= unsigned(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= unsigned(h - 'A' + 10);
-            else TILEDQR_CHECK(false, "trace import: bad \\u escape digit");
-          }
-          // The exporter only emits \u00XX control escapes; anything wider
-          // degrades to '?' rather than growing a UTF-8 encoder here.
-          out += code < 0x80 ? char(code) : '?';
-          break;
-        }
-        default: TILEDQR_CHECK(false, "trace import: unknown escape");
-      }
-    }
-  }
-
-  Json number() {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '-' ||
-            text_[pos_] == '+')) {
-      ++pos_;
-    }
-    TILEDQR_CHECK(pos_ > start, "trace import: expected a JSON value at offset " +
-                                    std::to_string(start));
-    Json v;
-    v.type = Json::Type::Number;
-    v.number = std::stod(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  Json array() {
-    expect('[');
-    Json v;
-    v.type = Json::Type::Array;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.arr.push_back(value());
-      char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      TILEDQR_CHECK(c == ',', "trace import: expected ',' or ']' in array");
-    }
-  }
-
-  Json object() {
-    expect('{');
-    Json v;
-    v.type = Json::Type::Object;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string key = string();
-      expect(':');
-      v.obj.emplace(std::move(key), value());
-      char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      TILEDQR_CHECK(c == ',', "trace import: expected ',' or '}' in object");
-    }
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
+constexpr const char* kContext = "trace import";
 
 std::uint8_t kind_from_name(const std::string& name) {
   for (int k = 0; k < kernels::kNumKernelKinds; ++k) {
@@ -217,14 +29,35 @@ std::uint8_t kind_from_name(const std::string& name) {
   return TraceEvent::kNonKernel;
 }
 
-std::int64_t us_to_ns(double us) { return std::llround(us * 1000.0); }
+/// Integer field `name` of `obj`: a number must be an integer that fits
+/// `Int`; a missing field or a non-number keeps `fallback`, so foreign traces
+/// import.
+template <class Int>
+Int integer_or(const json::Value& obj, const char* name, Int fallback) {
+  const json::Value* v = obj.find(name);
+  if (v == nullptr || v->type != json::Value::Type::Number) return fallback;
+  return json::integer<Int>(*v, kContext, name);
+}
+
+/// Microsecond field `name` of `obj` in nanoseconds (0 when missing or not a
+/// number). The magnitude stays below 2^62 ns, so start + duration cannot
+/// overflow.
+std::int64_t ns_or_zero(const json::Value& obj, const char* name) {
+  const json::Value* v = obj.find(name);
+  if (v == nullptr || v->type != json::Value::Type::Number) return 0;
+  TILEDQR_CHECK(std::abs(v->number) < 4e15,
+                stringf("%s: field \"%s\" is out of range", kContext, name));
+  return std::llround(v->number * 1000.0);
+}
 
 }  // namespace
 
 std::vector<TrackSnapshot> import_chrome_json(std::istream& in) {
-  Json doc = JsonParser(in).parse();
-  const Json* events = doc.find("traceEvents");
-  TILEDQR_CHECK(events != nullptr && events->type == Json::Type::Array,
+  std::ostringstream text;
+  text << in.rdbuf();
+  const json::Value doc = json::parse(text.str(), kContext);
+  const json::Value* events = doc.find("traceEvents");
+  TILEDQR_CHECK(events != nullptr && events->type == json::Value::Type::Array,
                 "trace import: no traceEvents array in document");
 
   std::map<int, TrackSnapshot> tracks;
@@ -238,44 +71,39 @@ std::vector<TrackSnapshot> import_chrome_json(std::istream& in) {
     return it->second;
   };
 
-  for (const auto& ev : events->arr) {
-    if (ev.type != Json::Type::Object) continue;
-    const Json* ph = ev.find("ph");
-    const Json* name = ev.find("name");
-    const Json* tid = ev.find("tid");
-    if (ph == nullptr || ph->type != Json::Type::String || tid == nullptr) continue;
-    const int t = int(tid->num_or(0));
-    const Json* args = ev.find("args");
+  for (const json::Value& ev : events->array) {
+    const json::Value* ph = ev.find("ph");
+    const json::Value* name = ev.find("name");
+    if (ph == nullptr || ph->type != json::Value::Type::String || ev.find("tid") == nullptr)
+      continue;
+    const int t = integer_or(ev, "tid", 0);
+    const json::Value* args = ev.find("args");
 
-    if (ph->str == "M") {
-      if (name != nullptr && name->str == "thread_name" && args != nullptr) {
-        if (const Json* n = args->find("name"); n != nullptr && !n->str.empty()) {
-          track(t).name = n->str;
+    if (ph->string == "M") {
+      if (name != nullptr && name->string == "thread_name" && args != nullptr) {
+        if (const json::Value* n = args->find("name"); n != nullptr && !n->string.empty()) {
+          track(t).name = n->string;
         }
       }
       continue;
     }
-    if (ph->str != "X") continue;
+    if (ph->string != "X") continue;
 
     TraceEvent e;
-    const Json* ts = ev.find("ts");
-    const Json* dur = ev.find("dur");
-    e.start_ns = us_to_ns(ts != nullptr ? ts->num_or(0) : 0);
-    e.end_ns = e.start_ns + us_to_ns(dur != nullptr ? dur->num_or(0) : 0);
-    e.kind = name != nullptr ? kind_from_name(name->str) : TraceEvent::kNonKernel;
+    e.start_ns = ns_or_zero(ev, "ts");
+    e.end_ns = e.start_ns + ns_or_zero(ev, "dur");
+    e.kind = name != nullptr ? kind_from_name(name->string) : TraceEvent::kNonKernel;
     if (args != nullptr) {
-      auto get = [&](const char* k, double fallback) {
-        const Json* v = args->find(k);
-        return v != nullptr ? v->num_or(fallback) : fallback;
-      };
-      e.i = std::int32_t(get("i", -1));
-      e.piv = std::int32_t(get("piv", -1));
-      e.k = std::int32_t(get("k", -1));
-      e.j = std::int32_t(get("j", -1));
-      e.task = std::int32_t(get("task", -1));
-      e.submission = std::uint32_t(get("sub", 0));
-      e.component = std::int32_t(get("component", 0));
-      if (get("stolen", 0) != 0) e.flags |= TraceEvent::kFlagStolen;
+      e.i = integer_or(*args, "i", std::int32_t{-1});
+      e.piv = integer_or(*args, "piv", std::int32_t{-1});
+      e.k = integer_or(*args, "k", std::int32_t{-1});
+      e.j = integer_or(*args, "j", std::int32_t{-1});
+      e.task = integer_or(*args, "task", std::int32_t{-1});
+      e.submission = integer_or(*args, "sub", std::uint32_t{0});
+      e.component = integer_or(*args, "component", std::int32_t{0});
+      if (const json::Value* s = args->find("stolen");
+          s != nullptr && s->type == json::Value::Type::Number && s->number != 0)
+        e.flags |= TraceEvent::kFlagStolen;
     }
     track(t).events.push_back(e);
   }

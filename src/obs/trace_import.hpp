@@ -21,7 +21,8 @@ namespace tiledqr::obs {
 
 /// Parses a Chrome trace_event JSON document into per-thread snapshots
 /// (one TrackSnapshot per tid, events in file order). Throws tiledqr::Error
-/// on malformed JSON or a document without a traceEvents array.
+/// on malformed JSON, a document without a traceEvents array, or a numeric
+/// field out of the range of its TraceEvent member.
 [[nodiscard]] std::vector<TrackSnapshot> import_chrome_json(std::istream& in);
 [[nodiscard]] std::vector<TrackSnapshot> import_chrome_json(const std::string& path);
 

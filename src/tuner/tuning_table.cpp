@@ -1,16 +1,13 @@
 #include "tuner/tuning_table.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <tuple>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/stringf.hpp"
 
 namespace tiledqr::tuner {
@@ -38,260 +35,21 @@ std::optional<trees::TreeKind> parse_tree_kind(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-// ------------------------------------------------------------------ JSON --
-// A deliberately small JSON reader: objects, arrays, strings (escapes
-// \" \\ \/ \n \t \r and Latin-1 \u00XX), numbers, booleans, null — exactly
-// what to_json() emits, parsed strictly so a corrupt table fails loudly.
 namespace {
 
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue, std::less<>>;
-using JsonArray = std::vector<JsonValue>;
+constexpr const char* kJson = "tuning table JSON";
 
-struct JsonValue {
-  enum class Type { Null, Bool, Number, String, Array, Object } type = Type::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::shared_ptr<JsonArray> array;
-  std::shared_ptr<JsonObject> object;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  JsonValue parse_document() {
-    JsonValue v = parse_value();
-    skip_ws();
-    TILEDQR_CHECK(pos_ == text_.size(), "tuning table JSON: trailing garbage");
-    return v;
-  }
-
- private:
-  std::string_view text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw Error(stringf("tuning table JSON: %s at offset %zu", what.c_str(), pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(stringf("expected '%c'", c));
-    ++pos_;
-  }
-
-  bool consume(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  JsonValue parse_value() {
-    // Depth guard: to_json never nests past 3, so a deep file is garbage —
-    // fail with Error instead of overflowing the stack on recursion.
-    if (++depth_ > 32) fail("nesting too deep");
-    JsonValue v = parse_value_impl();
-    --depth_;
-    return v;
-  }
-
-  JsonValue parse_value_impl() {
-    skip_ws();
-    JsonValue v;
-    switch (peek()) {
-      case '{': {
-        v.type = JsonValue::Type::Object;
-        v.object = std::make_shared<JsonObject>();
-        ++pos_;
-        skip_ws();
-        if (peek() == '}') { ++pos_; return v; }
-        while (true) {
-          skip_ws();
-          std::string key = parse_string();
-          skip_ws();
-          expect(':');
-          (*v.object)[key] = parse_value();
-          skip_ws();
-          if (peek() == ',') { ++pos_; continue; }
-          expect('}');
-          return v;
-        }
-      }
-      case '[': {
-        v.type = JsonValue::Type::Array;
-        v.array = std::make_shared<JsonArray>();
-        ++pos_;
-        skip_ws();
-        if (peek() == ']') { ++pos_; return v; }
-        while (true) {
-          v.array->push_back(parse_value());
-          skip_ws();
-          if (peek() == ',') { ++pos_; continue; }
-          expect(']');
-          return v;
-        }
-      }
-      case '"':
-        v.type = JsonValue::Type::String;
-        v.string = parse_string();
-        return v;
-      case 't':
-        if (!consume("true")) fail("bad literal");
-        v.type = JsonValue::Type::Bool;
-        v.boolean = true;
-        return v;
-      case 'f':
-        if (!consume("false")) fail("bad literal");
-        v.type = JsonValue::Type::Bool;
-        return v;
-      case 'n':
-        if (!consume("null")) fail("bad literal");
-        return v;
-      default:
-        v.type = JsonValue::Type::Number;
-        v.number = parse_number();
-        return v;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'u': {
-            // Only the Latin-1 range the writer emits (\u00XX) is accepted.
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= unsigned(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= unsigned(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= unsigned(h - 'A' + 10);
-              else fail("bad \\u escape");
-            }
-            if (code > 0xFF) fail("unsupported \\u escape (non-Latin-1)");
-            out.push_back(char(code));
-            break;
-          }
-          default: fail("unsupported escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-  }
-
-  double parse_number() {
-    size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) fail("bad number");
-    std::string token(text_.substr(start, pos_ - start));
-    try {
-      size_t used = 0;
-      double value = std::stod(token, &used);
-      // stod parses a prefix; "1.2.3" or "7e" must fail loudly, not load as
-      // a truncated value.
-      if (used != token.size()) fail("bad number");
-      return value;
-    } catch (const Error&) {
-      throw;
-    } catch (...) {
-      fail("bad number");
-    }
-  }
-};
-
-/// JSON string escaping for the writer (profile ids are plain ASCII, but the
-/// format should survive anything).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        // Raw control characters are illegal inside JSON strings; \u-escape
-        // them so external tools (jq, CI artifact consumers) accept the file.
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += stringf("\\u%04x", unsigned(static_cast<unsigned char>(c)));
-        else
-          out.push_back(c);
-    }
-  }
-  return out;
+/// Member `name` of `obj`, which must exist and have type `type`.
+const json::Value& member(const json::Value& obj, const char* name, json::Value::Type type) {
+  const json::Value* v = obj.find(name);
+  TILEDQR_CHECK(v != nullptr && v->type == type,
+                stringf("%s: field \"%s\" is missing or has the wrong type", kJson, name));
+  return *v;
 }
 
-const JsonObject& as_object(const JsonValue& v, const char* what) {
-  TILEDQR_CHECK(v.type == JsonValue::Type::Object && v.object,
-                stringf("tuning table JSON: %s must be an object", what));
-  return *v.object;
-}
-
-const JsonValue& field(const JsonObject& o, const char* name) {
-  auto it = o.find(name);
-  TILEDQR_CHECK(it != o.end(), stringf("tuning table JSON: missing field \"%s\"", name));
-  return it->second;
-}
-
-double number_field(const JsonObject& o, const char* name) {
-  const JsonValue& v = field(o, name);
-  TILEDQR_CHECK(v.type == JsonValue::Type::Number,
-                stringf("tuning table JSON: field \"%s\" must be a number", name));
-  return v.number;
-}
-
-long long_field(const JsonObject& o, const char* name) {
-  double d = number_field(o, name);
-  long l = long(std::llround(d));
-  TILEDQR_CHECK(double(l) == d, stringf("tuning table JSON: field \"%s\" must be integral", name));
-  return l;
-}
-
-std::string string_field(const JsonObject& o, const char* name) {
-  const JsonValue& v = field(o, name);
-  TILEDQR_CHECK(v.type == JsonValue::Type::String,
-                stringf("tuning table JSON: field \"%s\" must be a string", name));
-  return v.string;
-}
-
-bool bool_field(const JsonObject& o, const char* name) {
-  const JsonValue& v = field(o, name);
-  TILEDQR_CHECK(v.type == JsonValue::Type::Bool,
-                stringf("tuning table JSON: field \"%s\" must be a boolean", name));
-  return v.boolean;
+template <class Int>
+Int integer_member(const json::Value& obj, const char* name) {
+  return json::integer<Int>(member(obj, name, json::Value::Type::Number), kJson, name);
 }
 
 }  // namespace
@@ -384,11 +142,11 @@ std::string TuningTable::to_json() const {
     out << (first ? "\n" : ",\n");
     first = false;
     out << stringf(
-        "    {\"p\": %d, \"q\": %d, \"workers\": %d, \"profile\": \"%s\", "
+        "    {\"p\": %d, \"q\": %d, \"workers\": %d, \"profile\": %s, "
         "\"factor\": \"%s\", "
         "\"kind\": \"%s\", \"family\": \"%s\", \"bs\": %d, \"grasap_k\": %d, "
         "\"model_makespan\": %.17g, \"measured_seconds\": %.17g, \"refined\": %s}",
-        key->p, key->q, key->workers, json_escape(key->profile).c_str(),
+        key->p, key->q, key->workers, json::quote(key->profile).c_str(),
         kernels::factor_kind_name(key->factor),
         tree_kind_name(d->config.kind),
         d->config.family == trees::KernelFamily::TS ? "TS" : "TT", d->config.bs,
@@ -399,35 +157,30 @@ std::string TuningTable::to_json() const {
   return out.str();
 }
 
-TuningTable TuningTable::from_json(std::string_view json) {
-  JsonParser parser(json);
-  JsonValue doc = parser.parse_document();
-  const JsonObject& root = as_object(doc, "document");
-  TILEDQR_CHECK(long_field(root, "version") == 1, "tuning table JSON: unsupported version");
+TuningTable TuningTable::from_json(std::string_view text) {
+  using Type = json::Value::Type;
+  const json::Value root = json::parse(text, kJson);
+  TILEDQR_CHECK(root.type == Type::Object, "tuning table JSON: document must be an object");
+  TILEDQR_CHECK(integer_member<long>(root, "version") == 1,
+                "tuning table JSON: unsupported version");
 
   TuningTable table;
-  const JsonObject& stats = as_object(field(root, "stats"), "\"stats\"");
-  table.hits_ = long_field(stats, "hits");
-  table.misses_ = long_field(stats, "misses");
-  table.refinements_ = long_field(stats, "refinements");
+  const json::Value& stats = member(root, "stats", Type::Object);
+  table.hits_ = integer_member<long>(stats, "hits");
+  table.misses_ = integer_member<long>(stats, "misses");
+  table.refinements_ = integer_member<long>(stats, "refinements");
 
-  const JsonValue& entries = field(root, "entries");
-  TILEDQR_CHECK(entries.type == JsonValue::Type::Array,
-                "tuning table JSON: \"entries\" must be an array");
-  for (const JsonValue& ev : *entries.array) {
-    const JsonObject& e = as_object(ev, "entry");
+  for (const json::Value& e : member(root, "entries", Type::Array).array) {
+    TILEDQR_CHECK(e.type == Type::Object, "tuning table JSON: entry must be an object");
     Key key;
-    key.p = int(long_field(e, "p"));
-    key.q = int(long_field(e, "q"));
-    key.workers = int(long_field(e, "workers"));
-    key.profile = string_field(e, "profile");
+    key.p = integer_member<int>(e, "p");
+    key.q = integer_member<int>(e, "q");
+    key.workers = integer_member<int>(e, "workers");
+    key.profile = member(e, "profile", Type::String).string;
     // "factor" was added with the LQ workload; tables written before then
-    // have no such field and are all-QR, so probe with find() rather than
-    // field() (which throws on absence).
-    if (auto fit = e.find("factor"); fit != e.end()) {
-      TILEDQR_CHECK(fit->second.type == JsonValue::Type::String,
-                    "tuning table JSON: field \"factor\" must be a string");
-      const std::string& f = fit->second.string;
+    // have no such field and are all-QR.
+    if (e.find("factor") != nullptr) {
+      const std::string& f = member(e, "factor", Type::String).string;
       TILEDQR_CHECK(f == "QR" || f == "LQ",
                     stringf("tuning table JSON: unknown factor kind \"%s\"", f.c_str()));
       key.factor = f == "LQ" ? kernels::FactorKind::LQ : kernels::FactorKind::QR;
@@ -438,22 +191,22 @@ TuningTable TuningTable::from_json(std::string_view json) {
                   "tuning table JSON: p, q, workers must be >= 1");
 
     TunedDecision d;
-    std::string kind = string_field(e, "kind");
+    const std::string& kind = member(e, "kind", Type::String).string;
     auto parsed = parse_tree_kind(kind);
     TILEDQR_CHECK(parsed.has_value(),
                   stringf("tuning table JSON: unknown tree kind \"%s\"", kind.c_str()));
     d.config.kind = *parsed;
-    std::string family = string_field(e, "family");
+    const std::string& family = member(e, "family", Type::String).string;
     TILEDQR_CHECK(family == "TS" || family == "TT",
                   stringf("tuning table JSON: unknown kernel family \"%s\"", family.c_str()));
     d.config.family = family == "TS" ? trees::KernelFamily::TS : trees::KernelFamily::TT;
-    d.config.bs = int(long_field(e, "bs"));
-    d.config.grasap_k = int(long_field(e, "grasap_k"));
+    d.config.bs = integer_member<int>(e, "bs");
+    d.config.grasap_k = integer_member<int>(e, "grasap_k");
     TILEDQR_CHECK(d.config.bs >= 1 && d.config.grasap_k >= 0,
                   "tuning table JSON: bs must be >= 1 and grasap_k >= 0");
-    d.model_makespan = number_field(e, "model_makespan");
-    d.measured_seconds = number_field(e, "measured_seconds");
-    d.refined = bool_field(e, "refined");
+    d.model_makespan = member(e, "model_makespan", Type::Number).number;
+    d.measured_seconds = member(e, "measured_seconds", Type::Number).number;
+    d.refined = member(e, "refined", Type::Bool).boolean;
     table.map_[key] = d;
   }
   return table;

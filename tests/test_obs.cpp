@@ -1,9 +1,9 @@
 // Tests for the observability layer: the per-thread trace collector
 // (begin/end pairing, ring overflow accounting, disabled-mode cost contract),
-// the Chrome trace_event exporter (validated by a test-side JSON parser),
-// the unified metrics registry (sources, retirement, named metrics,
-// snapshots), the kernel profiler -> WeightProfile bridge, and the post-run
-// schedule report.
+// the Chrome trace_event exporter (validated by the strict JSON reader in
+// common/json), the unified metrics registry (sources, retirement, named
+// metrics, snapshots), the kernel profiler -> WeightProfile bridge, and the
+// post-run schedule report.
 //
 // The ObsSmoke suite doubles as the CI `obs_smoke` ctest: it traces a real
 // pool factorization end to end and writes build/trace_ci.json, which CI
@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/qr_session.hpp"
 #include "dag/task_graph.hpp"
 #include "matrix/generate.hpp"
@@ -41,185 +42,14 @@
 namespace tiledqr {
 namespace {
 
-// ------------------------------------------------------------------------
-// A deliberately independent JSON reader: the exporter must produce JSON a
-// parser that never saw its writer accepts. Throws std::runtime_error on
-// malformed input.
-struct Json {
-  enum class Type { Null, Bool, Number, String, Array, Object };
-  Type type = Type::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Json> array;
-  std::map<std::string, Json> object;
+using json::Value;
 
-  [[nodiscard]] const Json& at(const std::string& key) const {
-    auto it = object.find(key);
-    if (it == object.end()) throw std::runtime_error("missing key: " + key);
-    return it->second;
-  }
-  [[nodiscard]] bool has(const std::string& key) const { return object.count(key) != 0; }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    if (pos_ != s_.size()) throw std::runtime_error("trailing characters");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-                                s_[pos_] == '\r'))
-      ++pos_;
-  }
-  char peek() {
-    if (pos_ >= s_.size()) throw std::runtime_error("unexpected end of input");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) throw std::runtime_error(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool consume(const char* lit) {
-    std::size_t n = std::string(lit).size();
-    if (s_.compare(pos_, n, lit) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-
-  Json value() {
-    skip_ws();
-    char c = peek();
-    Json v;
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      v.type = Json::Type::String;
-      v.string = string();
-      return v;
-    }
-    if (consume("true")) {
-      v.type = Json::Type::Bool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume("false")) {
-      v.type = Json::Type::Bool;
-      return v;
-    }
-    if (consume("null")) return v;
-    return number();
-  }
-
-  Json object() {
-    Json v;
-    v.type = Json::Type::Object;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.object[key] = value();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Json array() {
-    Json v;
-    v.type = Json::Type::Array;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= s_.size()) throw std::runtime_error("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) throw std::runtime_error("raw control char");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      char esc = s_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) throw std::runtime_error("bad \\u escape");
-          int code = std::stoi(s_.substr(pos_, 4), nullptr, 16);
-          pos_ += 4;
-          out += code < 0x80 ? char(code) : '?';  // ASCII is all the writer emits
-          break;
-        }
-        default: throw std::runtime_error("unknown escape");
-      }
-    }
-  }
-
-  Json number() {
-    std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    std::size_t used = 0;
-    std::string token = s_.substr(start, pos_ - start);
-    double v = std::stod(token, &used);
-    if (used != token.size()) throw std::runtime_error("malformed number: " + token);
-    Json j;
-    j.type = Json::Type::Number;
-    j.number = v;
-    return j;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+/// Member `key` of a parsed object; a missing member fails the calling test.
+const Value& at(const Value& v, const char* key) {
+  const Value* member = v.find(key);
+  if (member == nullptr) throw std::runtime_error(std::string("missing key: ") + key);
+  return *member;
+}
 
 // ------------------------------------------------------------------------
 // Trace tests share the process-global tracer; each test starts and ends
@@ -238,18 +68,18 @@ struct TracerGuard {
 };
 
 /// Chrome-trace "X" events of one exported JSON document.
-std::vector<Json> slice_events(const Json& doc) {
-  std::vector<Json> out;
-  for (const Json& e : doc.at("traceEvents").array)
-    if (e.at("ph").string == "X") out.push_back(e);
+std::vector<Value> slice_events(const Value& doc) {
+  std::vector<Value> out;
+  for (const Value& e : at(doc, "traceEvents").array)
+    if (at(e, "ph").string == "X") out.push_back(e);
   return out;
 }
 
-std::map<int, std::string> thread_names(const Json& doc) {
+std::map<int, std::string> thread_names(const Value& doc) {
   std::map<int, std::string> names;
-  for (const Json& e : doc.at("traceEvents").array)
-    if (e.at("ph").string == "M" && e.at("name").string == "thread_name")
-      names[int(e.at("tid").number)] = e.at("args").at("name").string;
+  for (const Value& e : at(doc, "traceEvents").array)
+    if (at(e, "ph").string == "M" && at(e, "name").string == "thread_name")
+      names[int(at(e, "tid").number)] = at(at(e, "args"), "name").string;
   return names;
 }
 
@@ -376,29 +206,29 @@ TEST(Trace, ExportedJsonIsValidAndComplete) {
 
   std::ostringstream out;
   guard.tracer.export_chrome_json(out);
-  Json doc = JsonParser(out.str()).parse();
+  Value doc = json::parse(out.str(), "exported JSON");
 
-  EXPECT_EQ(doc.at("displayTimeUnit").string, "ms");
+  EXPECT_EQ(at(doc, "displayTimeUnit").string, "ms");
   auto names = thread_names(doc);
   bool named = false;
   for (const auto& [tid, name] : names) named = named || name == "export.w0";
   EXPECT_TRUE(named);
 
   int matched = 0;
-  for (const Json& e : slice_events(doc)) {
+  for (const Value& e : slice_events(doc)) {
     // Complete events: non-negative microsecond timestamps and durations,
     // a tid with thread_name metadata, kernel-kind slice names.
-    EXPECT_GE(e.at("ts").number, 0.0);
-    EXPECT_GE(e.at("dur").number, 0.0);
-    EXPECT_TRUE(names.count(int(e.at("tid").number))) << "unnamed tid";
-    if (names[int(e.at("tid").number)] != "export.w0") continue;
+    EXPECT_GE(at(e, "ts").number, 0.0);
+    EXPECT_GE(at(e, "dur").number, 0.0);
+    EXPECT_TRUE(names.count(int(at(e, "tid").number))) << "unnamed tid";
+    if (names[int(at(e, "tid").number)] != "export.w0") continue;
     ++matched;
-    EXPECT_EQ(e.at("dur").number, 500.0 / 1000.0);  // 500 ns = 0.5 us
-    EXPECT_TRUE(e.at("args").has("i"));
-    EXPECT_TRUE(e.at("args").has("sub"));
+    EXPECT_EQ(at(e, "dur").number, 500.0 / 1000.0);  // 500 ns = 0.5 us
+    EXPECT_TRUE(at(e, "args").find("i") != nullptr);
+    EXPECT_TRUE(at(e, "args").find("sub") != nullptr);
     static const std::set<std::string> kKernels{"GEQRT", "UNMQR", "TSQRT",
                                                "TSMQR", "TTQRT", "TTMQR"};
-    EXPECT_TRUE(kKernels.count(e.at("name").string)) << e.at("name").string;
+    EXPECT_TRUE(kKernels.count(at(e, "name").string)) << at(e, "name").string;
   }
   EXPECT_EQ(matched, 10);
 }
@@ -469,7 +299,7 @@ TEST(Trace, ExportNowInsertsUniqueSuffix) {
     ASSERT_TRUE(in.good()) << path;
     std::stringstream buf;
     buf << in.rdbuf();
-    Json doc = JsonParser(buf.str()).parse();
+    Value doc = json::parse(buf.str(), "exported JSON");
     EXPECT_EQ(slice_events(doc).size(), 1u) << path;
   }
   std::remove(p1.c_str());
@@ -533,9 +363,9 @@ TEST(Metrics, JsonDumpParses) {
   obs::MetricsRegistry reg;
   reg.counter("a.count").add(1);
   reg.histogram("h").record_ns(500);
-  Json doc = JsonParser(reg.snapshot().to_json()).parse();
-  EXPECT_EQ(doc.at("a.count").number, 1.0);
-  EXPECT_EQ(doc.at("h.count").number, 1.0);
+  Value doc = json::parse(reg.snapshot().to_json(), "exported JSON");
+  EXPECT_EQ(at(doc, "a.count").number, 1.0);
+  EXPECT_EQ(at(doc, "h.count").number, 1.0);
   EXPECT_FALSE(reg.snapshot().to_text().empty());
 }
 
@@ -976,7 +806,7 @@ TEST(ObsSmoke, TracedFactorizationExportsLoadableChromeTrace) {
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  Json doc = JsonParser(buf.str()).parse();
+  Value doc = json::parse(buf.str(), "exported JSON");
 
   // One track per pool worker, named by the instrumentation.
   auto names = thread_names(doc);
@@ -991,11 +821,11 @@ TEST(ObsSmoke, TracedFactorizationExportsLoadableChromeTrace) {
   static const std::set<std::string> kKernels{"GEQRT", "UNMQR", "TSQRT",
                                              "TSMQR", "TTQRT", "TTMQR"};
   std::set<std::string> seen;
-  for (const Json& e : slices) {
-    ASSERT_TRUE(names.count(int(e.at("tid").number)));
-    ASSERT_TRUE(kKernels.count(e.at("name").string)) << e.at("name").string;
-    seen.insert(e.at("name").string);
-    EXPECT_GE(e.at("dur").number, 0.0);
+  for (const Value& e : slices) {
+    ASSERT_TRUE(names.count(int(at(e, "tid").number)));
+    ASSERT_TRUE(kKernels.count(at(e, "name").string)) << at(e, "name").string;
+    seen.insert(at(e, "name").string);
+    EXPECT_GE(at(e, "dur").number, 0.0);
   }
   // An 8x4 tile grid exercises the panel kernel and its updates at minimum.
   EXPECT_GE(seen.size(), 2u);
