@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <type_traits>
 
 namespace tiledqr {
 
@@ -37,6 +38,23 @@ struct AlignedAllocator {
   template <typename U>
   bool operator!=(const AlignedAllocator<U>&) const noexcept {
     return false;
+  }
+};
+
+/// AlignedAllocator that default-initializes where std::vector would
+/// value-initialize: a vector sized with it leaves trivially constructible
+/// elements unwritten, for owners that write every element themselves.
+template <typename T>
+struct DefaultInitAllocator : AlignedAllocator<T> {
+  DefaultInitAllocator() noexcept = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  /// Only the no-argument form: std::allocator_traits constructs copies and
+  /// fills with placement new when the allocator has no matching overload.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
   }
 };
 

@@ -417,8 +417,7 @@ class FactorSession {
   [[nodiscard]] std::future<TileMatrix<T>> apply_q_async(const TiledQr<T>& qr, ApplyTrans trans,
                                                          TileMatrix<T> c) {
     return borrow<TileMatrix<T>>(qr, [&](detail::Request<T>& req) {
-      TILEDQR_CHECK(c.mt() == qr.reduction_p() && c.nb() == qr.a_.nb(),
-                    "apply_q_async: row tiling of C must match the factorization");
+      qr.check_operand(c, "apply_q_async");
       req.trans = trans;
       req.c = std::move(c);
     });

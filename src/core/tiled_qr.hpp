@@ -19,6 +19,7 @@
 #pragma once
 
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -183,7 +184,7 @@ class TiledQr {
     const std::int64_t k = std::min(a_.m(), a_.n());
     Matrix<T> r(k, a_.n());
     for (std::int64_t j = 0; j < a_.n(); ++j)
-      for (std::int64_t i = 0; i <= std::min<std::int64_t>(j, k - 1); ++i) r(i, j) = a_.at(i, j);
+      a_.read_column(j, 0, std::min(j + 1, k), r.view().col(j));
     return r;
   }
 
@@ -194,8 +195,7 @@ class TiledQr {
     TILEDQR_CHECK(kind_ == kernels::FactorKind::LQ, "l_factor: requires an LQ factorization");
     const std::int64_t k = std::min(a_.m(), a_.n());
     Matrix<T> l(a_.m(), k);
-    for (std::int64_t i = 0; i < a_.m(); ++i)
-      for (std::int64_t j = 0; j <= std::min<std::int64_t>(i, k - 1); ++j) l(i, j) = a_.at(i, j);
+    for (std::int64_t j = 0; j < k; ++j) a_.read_column(j, j, a_.m(), l.view().col(j) + j);
     return l;
   }
 
@@ -302,8 +302,7 @@ class TiledQr {
   /// (LAPACK xUNMQR's role, parallelized like the factorization itself).
   /// Results are bitwise identical to the sequential replay.
   void apply_q(ApplyTrans trans, TileMatrix<T>& c, int threads) const {
-    TILEDQR_CHECK(c.mt() == reduction_p() && c.nb() == a_.nb(),
-                  "apply_q: row tiling of C must match the factorization");
+    check_operand(c, "apply_q");
     if (threads <= 1) {
       apply_q(trans, c);
       return;
@@ -314,11 +313,11 @@ class TiledQr {
   }
 
   /// Applies op(Q) to a tiled matrix with the same row tiling (any number of
-  /// columns), replaying the transformation log sequentially. For an LQ
-  /// factorization C is a transposed-world matrix (c.mt() == a_.nt()).
+  /// columns, any column-tile width), replaying the transformation log
+  /// sequentially. For an LQ factorization C is a transposed-world matrix
+  /// (c.m() == a_.n()).
   void apply_q(ApplyTrans trans, TileMatrix<T>& c) const {
-    TILEDQR_CHECK(c.mt() == reduction_p() && c.nb() == a_.nb(),
-                  "apply_q: row tiling of C must match the factorization");
+    check_operand(c, "apply_q");
     const int ib = opt_.ib;
     auto apply_one = [&](const dag::Task& task) {
       switch (task.kind) {
@@ -399,9 +398,10 @@ class TiledQr {
   /// owns the QR-vs-LQ stage order. QR tiles b; its triangular solve comes
   /// last. LQ solves L y = b first — on the logical m x m triangle, since
   /// the zero-padded tile triangle is singular — and tiles [y; 0] in the
-  /// transposed-world row tiling. b is m x nrhs with nrhs >= 1.
+  /// transposed-world row tiling. Either operand is nb x min(nb, nrhs)
+  /// tiles (TileMatrix::operand). b is m x nrhs with nrhs >= 1.
   [[nodiscard]] TileMatrix<T> start_solve(ConstMatrixView<T> b) const {
-    if (kind_ == kernels::FactorKind::QR) return TileMatrix<T>::from_dense(b, a_.nb());
+    if (kind_ == kernels::FactorKind::QR) return TileMatrix<T>::operand(b, a_.nb());
     const std::int64_t m = a_.m();
     Matrix<T> ypad(a_.n(), b.cols());
     copy(b, ypad.sub(0, 0, m, b.cols()));
@@ -409,17 +409,16 @@ class TiledQr {
     auto head = ypad.sub(0, 0, m, b.cols());
     blas::trsm(blas::Side::Left, blas::Uplo::Lower, blas::Op::NoTrans, blas::Diag::NonUnit,
                T(1), l.sub(0, 0, m, m), head);
-    return TileMatrix<T>::from_dense(ConstMatrixView<T>(ypad.view()), a_.nb());
+    return TileMatrix<T>::operand(ConstMatrixView<T>(ypad.view()), a_.nb());
   }
 
   /// Solve stage 3: QR solves R x = (Qᴴb)[0:n, :]; for LQ, Q̃ [y; 0] already
   /// is the minimum-norm solution.
   [[nodiscard]] Matrix<T> finish_solve(const TileMatrix<T>& c) const {
     if (kind_ == kernels::FactorKind::LQ) return c.to_dense();
-    Matrix<T> qtb = c.to_dense();
     const std::int64_t n = a_.n();
-    Matrix<T> x(n, qtb.cols());
-    copy(ConstMatrixView<T>(qtb.sub(0, 0, n, qtb.cols())), x.view());
+    Matrix<T> x(n, c.n());
+    for (std::int64_t j = 0; j < c.n(); ++j) c.read_column(j, 0, n, x.view().col(j));
     Matrix<T> r = r_factor();
     blas::trsm(blas::Side::Left, blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit,
                T(1), r.sub(0, 0, n, n), x.view());
@@ -471,6 +470,18 @@ class TiledQr {
     return kind_ == kernels::FactorKind::LQ ? a_.mt() : a_.nt();
   }
 
+  /// Rejects an op(Q) operand whose rows do not match the factorization: m
+  /// rows for QR, n for LQ (C lives in the transposed world), tiled by the
+  /// same nb. Its column count and column-tile width are free.
+  void check_operand(const TileMatrix<T>& c, const char* entry) const {
+    const std::int64_t rows = kind_ == kernels::FactorKind::LQ ? a_.n() : a_.m();
+    TILEDQR_CHECK(c.m() == rows && c.nb() == a_.nb(),
+                  std::string(entry) + ": C must have " + std::to_string(rows) +
+                      " rows in tiles of " + std::to_string(a_.nb()) +
+                      " to match the factorization; got " + std::to_string(c.m()) +
+                      " rows in tiles of " + std::to_string(c.nb()));
+  }
+
   /// Allocates storage and fetches the (possibly cached) plan without
   /// executing; factorize() and FactorSession's async path both start here.
   /// Routes on element shape: m < n factors by LQ on the transposed
@@ -482,6 +493,9 @@ class TiledQr {
                                        PlanCache& cache = PlanCache::default_cache()) {
     TiledQr qr;
     TILEDQR_CHECK(opt.ib >= 1, "Options::ib must be >= 1");
+    TILEDQR_CHECK(a.w() == a.nb(),
+                  "factorization input must have square nb x nb tiles (TileMatrix::operand "
+                  "tiles op(Q) operands, not factorization inputs)");
     if (opt.threads <= 0) opt.threads = default_thread_count();
     if (!opt.tree) opt.tree = trees::TreeConfig{};
     qr.opt_ = opt;

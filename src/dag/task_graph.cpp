@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/stringf.hpp"
 
 namespace tiledqr::dag {
 
@@ -188,6 +189,19 @@ void infer_dependencies(int p, int q, std::vector<Task>& tasks) {
     t.succ.clear();
     TILEDQR_CHECK(t.i >= 0 && t.i < p && t.k >= 0 && t.k < q,
                   "infer_dependencies: task coordinates outside the p x q grid");
+    // apply_accesses also indexes the pivot row of the TS/TT kinds and the
+    // updated column of the update kinds.
+    const KernelKind kind = kernels::qr_dual(t.kind);
+    const bool pivots = kind == KernelKind::TSQRT || kind == KernelKind::TSMQR ||
+                        kind == KernelKind::TTQRT || kind == KernelKind::TTMQR;
+    const bool updates =
+        kind == KernelKind::UNMQR || kind == KernelKind::TSMQR || kind == KernelKind::TTMQR;
+    TILEDQR_CHECK(!pivots || (t.piv >= 0 && t.piv < p),
+                  stringf("infer_dependencies: %s pivot row %d outside the %d tile rows",
+                          kernels::kernel_name(t.kind), t.piv, p));
+    TILEDQR_CHECK(!updates || (t.j >= 0 && t.j < q),
+                  stringf("infer_dependencies: %s column %d outside the %d tile columns",
+                          kernels::kernel_name(t.kind), t.j, q));
   }
   DependencyTracker deps(p, q, tasks);
   for (size_t id = 0; id < tasks.size(); ++id) apply_accesses(deps, std::int32_t(id), tasks[id]);

@@ -15,9 +15,10 @@
 // on transposed-world operands (a C whose rows live in A's column space), so
 // only the reflector tile is adjointed.
 //
-// The adjoint copies are O(nb^2) against the kernels' O(nb^3) work, and the
-// wrappers require full square tiles — exactly what TileMatrix guarantees
-// (every tile is a zero-padded nb x nb block).
+// The adjoint copies are O(nb^2) against the kernels' O(nb^3) work. The
+// factor wrappers adjoint square nb x nb tiles (factorization inputs always
+// have them); the apply wrappers adjoint only the reflector tile V, so their
+// C takes any column count, like the QR apply kernels they wrap.
 //
 // The copies must be region-exact, not whole-tile: the DAG runs a TSLQT/TTLQT
 // (which rewrites a tile's L triangle) concurrently with UNMLQ tasks (which

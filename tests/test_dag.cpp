@@ -157,6 +157,30 @@ TEST(TaskGraph, InferDependenciesReproducesBuilderEdges) {
   }
 }
 
+TEST(TaskGraph, InferDependenciesRejectsOutOfGridPivotsAndColumns) {
+  // A trace slice carries arbitrary coordinates. The pivot row of the TS/TT
+  // kinds and the updated column of the update kinds index the dependency
+  // tracker just like (i, k), so an out-of-grid one is an Error, not an
+  // out-of-bounds write; kinds that do not use them ignore them.
+  const int p = 3, q = 2;
+  auto infer = [&](KernelKind kind, int piv, int j) {
+    std::vector<dag::Task> tasks{dag::Task{kind, 1, piv, 0, j, 0, {}}};
+    dag::infer_dependencies(p, q, tasks);
+  };
+  for (const KernelKind kind : {KernelKind::TSQRT, KernelKind::TSMQR, KernelKind::TTQRT,
+                                KernelKind::TTMQR, KernelKind::TSLQT, KernelKind::TTMLQ})
+    for (const int piv : {-7, -1, p})
+      EXPECT_THROW(infer(kind, piv, 1), Error) << kernels::kernel_name(kind) << " piv " << piv;
+  for (const KernelKind kind :
+       {KernelKind::UNMQR, KernelKind::TSMQR, KernelKind::TTMQR, KernelKind::UNMLQ})
+    for (const int j : {-1, q, 1 << 30})
+      EXPECT_THROW(infer(kind, 0, j), Error) << kernels::kernel_name(kind) << " j " << j;
+  EXPECT_NO_THROW(infer(KernelKind::GEQRT, -7, -7));
+  EXPECT_NO_THROW(infer(KernelKind::UNMQR, -7, 1));
+  EXPECT_NO_THROW(infer(KernelKind::TSQRT, 0, -7));
+  EXPECT_NO_THROW(infer(KernelKind::TTMLQ, 2, 1));
+}
+
 TEST(TaskGraph, Lemma1TransformPreservesCriticalPathLength) {
   // Build a list with reverse eliminations, remove them, and check the
   // execution time is unchanged (Lemma 1).

@@ -1,7 +1,9 @@
 // Tests for the dense and tiled matrix containers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
+#include <string>
 
 #include "matrix/generate.hpp"
 #include "matrix/matrix.hpp"
@@ -60,6 +62,49 @@ TYPED_TEST(MatrixTyped, TileRoundTripRaggedSizePadsWithZeros) {
   EXPECT_EQ(t.tile(2, 1)(4, 4), TypeParam(0));
 }
 
+TYPED_TEST(MatrixTyped, TilingMatchesElementwiseCopyAndZeroesOnlyPadding) {
+  // Every stored entry, padding included, against the element-wise tiling:
+  // a(i, j) at tile (i / nb, j / w), position (i % nb, j % w), zero outside
+  // the logical matrix. from_dense tiles square (w == nb); operand() tiles
+  // nb x min(nb, ncols), so 1, 3 and 7 columns give w = 1, 3 and nb.
+  using T = TypeParam;
+  const int nb = 5;
+  for (const std::int64_t m : {13, 10}) {  // ragged and exact row tiling
+    for (const std::int64_t n : {1, 3, 7}) {
+      const auto a = random_matrix<T>(m, n, unsigned(10 * m + n));
+      for (const bool square : {false, true}) {
+        const auto t = square ? TileMatrix<T>::from_dense(a.view(), nb)
+                              : TileMatrix<T>::operand(a.view(), nb);
+        const int w = square ? nb : int(std::min<std::int64_t>(nb, n));
+        const std::string what = "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                                 (square ? " from_dense" : " operand");
+        ASSERT_EQ(t.nb(), nb) << what;
+        ASSERT_EQ(t.w(), w) << what;
+        ASSERT_EQ(t.mt(), (m + nb - 1) / nb) << what;
+        ASSERT_EQ(t.nt(), (n + w - 1) / w) << what;
+        for (int jt = 0; jt < t.nt(); ++jt)
+          for (int it = 0; it < t.mt(); ++it) {
+            const auto tile = t.tile(it, jt);
+            ASSERT_EQ(tile.rows(), nb) << what;
+            ASSERT_EQ(tile.cols(), w) << what;
+            for (int c = 0; c < w; ++c)
+              for (int r = 0; r < nb; ++r) {
+                const std::int64_t i = std::int64_t(it) * nb + r, j = std::int64_t(jt) * w + c;
+                const T want = i < m && j < n ? a(i, j) : T(0);
+                ASSERT_EQ(tile(r, c), want) << what << " at (" << i << "," << j << ")";
+              }
+          }
+        const auto back = t.to_dense();
+        for (std::int64_t j = 0; j < n; ++j)
+          for (std::int64_t i = 0; i < m; ++i) {
+            ASSERT_EQ(back(i, j), a(i, j)) << what;
+            ASSERT_EQ(t.at(i, j), a(i, j)) << what;
+          }
+      }
+    }
+  }
+}
+
 TYPED_TEST(MatrixTyped, TileViewsAliasStorage) {
   TileMatrix<TypeParam> t(8, 8, 4);
   t.tile(1, 1)(2, 3) = TypeParam(7);
@@ -102,6 +147,10 @@ TEST(Generate, UpperTriangular) {
 TEST(MatrixChecks, InvalidDimensionsThrow) {
   EXPECT_THROW(TileMatrix<double>(0, 5, 4), Error);
   EXPECT_THROW(TileMatrix<double>(5, 5, 0), Error);
+  const Matrix<double> no_cols(5, 0);
+  const auto two_cols = random_matrix<double>(5, 2, 1);
+  EXPECT_THROW((void)TileMatrix<double>::operand(no_cols.view(), 4), Error);
+  EXPECT_THROW((void)TileMatrix<double>::operand(two_cols.view(), 0), Error);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // reference solver, and square-system solves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
+#include <string>
 
 #include "core/qr_session.hpp"
 #include "core/tiled_qr.hpp"
@@ -46,6 +48,106 @@ TYPED_TEST(SolveTyped, ApplyQRoundTrip) {
   qr.apply_q(ApplyTrans::ConjTrans, c);
   auto back = c.to_dense();
   EXPECT_LE(double(difference_norm<T>(back.view(), c0.view())), 1e-11);
+}
+
+template <typename T>
+void expect_bitwise(const Matrix<T>& got, const Matrix<T>& want, const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::int64_t j = 0; j < got.cols(); ++j)
+    for (std::int64_t i = 0; i < got.rows(); ++i)
+      ASSERT_EQ(got(i, j), want(i, j)) << what << " at (" << i << "," << j << ")";
+}
+
+TYPED_TEST(SolveTyped, EverySolvePathMatchesTheNarrowReplay) {
+  // A solve tiles its rhs nb x min(nb, nrhs) (TileMatrix::operand). The
+  // reference is that tiling's own sequential replay — start_solve, the
+  // one-thread apply_q, finish_solve — and the synchronous solve, the
+  // session pipeline, the solve against a finished factorization and stream
+  // push_solve must all equal it bit for bit: tall (least squares) and wide
+  // (minimum norm), rhs widths below, at and above nb.
+  using T = TypeParam;
+  const Options opt = small_opts();
+  const int nb = opt.nb;
+  core::QrSession session(core::QrSession::Config{2});
+  core::QrSession::StreamOptions sopt;
+  sopt.nb = opt.nb;
+  sopt.ib = opt.ib;
+  sopt.tree = opt.tree;
+  for (const bool wide : {false, true}) {
+    const std::int64_t m = wide ? 2 * nb - 3 : 5 * nb - 3;
+    const std::int64_t n = wide ? 5 * nb - 3 : 2 * nb - 3;
+    auto a = random_matrix<T>(m, n, wide ? 201 : 202);
+    const auto qr = TiledQr<T>::factorize(a.view(), opt);
+    for (const int nrhs : {1, 3, nb - 1, nb, nb + 1}) {
+      const std::string what =
+          std::string(wide ? "wide" : "tall") + " nrhs=" + std::to_string(nrhs);
+      auto b = random_matrix<T>(m, nrhs, unsigned(300 + nrhs));
+      auto c = qr.start_solve(b.view());
+      ASSERT_EQ(c.w(), std::min(nb, nrhs)) << what;
+      qr.apply_q(qr.solve_trans(), c);
+      const Matrix<T> want = qr.finish_solve(c);
+
+      auto pipeline = session.solve_least_squares_async(ConstMatrixView<T>(a.view()),
+                                                        ConstMatrixView<T>(b.view()), opt);
+      auto borrowed = session.solve_least_squares_async(qr, ConstMatrixView<T>(b.view()));
+      auto stream = session.template stream<T>(sopt);
+      auto streamed =
+          stream.push_solve(ConstMatrixView<T>(a.view()), ConstMatrixView<T>(b.view()));
+      stream.close();
+      expect_bitwise(qr.solve_least_squares(b.view()), want, what + " synchronous");
+      expect_bitwise(pipeline.get(), want, what + " pipeline");
+      expect_bitwise(borrowed.get(), want, what + " borrowed");
+      expect_bitwise(streamed.get(), want, what + " push_solve");
+
+      Matrix<T> r(m, nrhs);
+      copy(b.view(), r.view());
+      blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(1), a.view(), want.view(), T(-1),
+                 r.view());
+      if (wide) {  // consistent system: A x = b
+        EXPECT_LE(double(frobenius_norm<T>(r.view()) / frobenius_norm<T>(b.view())), 1e-12)
+            << what;
+      } else {  // normal equations: Aᴴ (A x - b) = 0
+        Matrix<T> atr(n, nrhs);
+        blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), a.view(), r.view(), T(0),
+                   atr.view());
+        EXPECT_LE(double(frobenius_norm<T>(atr.view())), 1e-10) << what;
+      }
+    }
+  }
+}
+
+TYPED_TEST(SolveTyped, NarrowApplyQAsyncMatchesSequentialAndRoundTrips) {
+  // An apply_q_async operand in nb x min(nb, ncols) tiles runs the same
+  // kernels on the same tiles as the sequential apply_q, so the two agree
+  // bit for bit, on QR and LQ factorizations; Q·Qᴴ restores the operand.
+  using T = TypeParam;
+  const Options opt = small_opts();
+  core::QrSession session(core::QrSession::Config{2});
+  for (const bool wide : {false, true}) {
+    const std::int64_t m = wide ? 13 : 37, n = wide ? 37 : 13;
+    auto a = random_matrix<T>(m, n, wide ? 211 : 212);
+    const auto qr = TiledQr<T>::factorize(a.view(), opt);
+    const std::int64_t rows = wide ? n : m;  // LQ operands live in the transposed world
+    for (const int ncols : {1, 3, opt.nb + 1}) {
+      auto c0 = random_matrix<T>(rows, ncols, unsigned(400 + ncols));
+      for (const auto trans : {ApplyTrans::ConjTrans, ApplyTrans::NoTrans}) {
+        const std::string what = std::string(wide ? "wide" : "tall") +
+                                 " ncols=" + std::to_string(ncols) +
+                                 (trans == ApplyTrans::NoTrans ? " Q" : " Qᴴ");
+        auto seq = TileMatrix<T>::operand(c0.view(), opt.nb);
+        qr.apply_q(trans, seq);
+        auto async =
+            session.apply_q_async(qr, trans, TileMatrix<T>::operand(c0.view(), opt.nb)).get();
+        ASSERT_EQ(async.w(), std::min(opt.nb, ncols)) << what;
+        expect_bitwise(async.to_dense(), seq.to_dense(), what);
+        const auto inverse =
+            trans == ApplyTrans::NoTrans ? ApplyTrans::ConjTrans : ApplyTrans::NoTrans;
+        const auto back = session.apply_q_async(qr, inverse, std::move(async)).get().to_dense();
+        EXPECT_LE(double(difference_norm<T>(back.view(), c0.view())), 1e-11) << what;
+      }
+    }
+  }
 }
 
 TYPED_TEST(SolveTyped, QtAOnTilesEqualsR) {
@@ -223,6 +325,38 @@ TEST(Solve, MismatchedRowTilingErrorPaths) {
                                               small_opts())
                    .get(),
                Error);
+  // Same nb and tile rows, wrong row count: 17 rows round up to A's 3 tile
+  // rows. QR operands need A's m rows, LQ operands (transposed world) its n.
+  auto ragged = random_matrix<double>(17, 2, 91);
+  auto wide = random_matrix<double>(8, 24, 93);
+  auto lq = TiledQr<double>::factorize(wide.view(), small_opts());
+  for (const TiledQr<double>* f : {&qr, &lq}) {
+    auto c = TileMatrix<double>::operand(ragged.view(), 8);
+    ASSERT_EQ(c.mt(), 3);
+    EXPECT_THROW(f->apply_q(ApplyTrans::ConjTrans, c), Error);
+    EXPECT_THROW(f->apply_q(ApplyTrans::ConjTrans, c, /*threads=*/2), Error);
+    EXPECT_THROW((void)session.apply_q_async(*f, ApplyTrans::ConjTrans, std::move(c)).get(),
+                 Error);
+  }
+}
+
+TEST(Solve, NarrowTilesAreNotFactorizationInputs) {
+  // TileMatrix::operand tiles are for op(Q) operands: a 24 x 3 operand in
+  // nb = 8 has 8 x 3 tiles, and every factorization entry point rejects it.
+  auto narrow = random_matrix<double>(24, 3, 131);
+  auto tiles = [&] { return TileMatrix<double>::operand(narrow.view(), 8); };
+  const auto opt = small_opts();
+  EXPECT_THROW((void)TiledQr<double>::factorize(tiles(), opt), Error);
+  core::QrSession session(core::QrSession::Config{2});
+  EXPECT_THROW((void)session.submit(tiles(), opt).get(), Error);
+  auto stream = session.stream<double>();
+  auto pushed = stream.push(tiles());
+  stream.close();
+  EXPECT_THROW((void)pushed.get(), Error);
+  // An operand with at least nb columns comes out square, like from_dense.
+  auto square_tiles = random_matrix<double>(24, 9, 137);
+  auto qr = TiledQr<double>::factorize(TileMatrix<double>::operand(square_tiles.view(), 8), opt);
+  EXPECT_EQ(qr.factors().w(), 8);
 }
 
 TEST(Solve, WideMatrixMinimumNormSolve) {

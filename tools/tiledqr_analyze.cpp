@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/stringf.hpp"
 #include "dag/task_graph.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/kernel_profile.hpp"
@@ -45,11 +46,15 @@ struct GroupKey {
 
 // Rebuilds the DAG of one traced factorization: its tasks, sorted by the
 // task index the runtime recorded, must form exactly 0..n-1; dependencies
-// are re-inferred from kinds + tile coordinates.
+// are re-inferred from kinds + tile coordinates. The grid is sized from the
+// coordinates only once they are bounded by the task count: every tile row
+// and column of a p x q factorization (p >= q) appears in its tasks, and it
+// has at least pq - q(q-1)/2 > pq/2 of them.
 tiledqr::dag::TaskGraph rebuild_graph(const std::vector<const TraceEvent*>& events) {
   std::vector<const TraceEvent*> sorted = events;
   std::sort(sorted.begin(), sorted.end(),
             [](const TraceEvent* a, const TraceEvent* b) { return a->task < b->task; });
+  const auto count = std::int64_t(sorted.size());
   std::vector<tiledqr::dag::Task> tasks;
   tasks.reserve(sorted.size());
   int p = 1;
@@ -59,12 +64,22 @@ tiledqr::dag::TaskGraph rebuild_graph(const std::vector<const TraceEvent*>& even
     TILEDQR_CHECK(e.task == std::int32_t(n),
                   "trace group is not a complete factorization: task indices must "
                   "cover 0..n-1 exactly (dropped events?)");
+    for (const std::int32_t c : {e.i, e.piv, e.k, e.j})
+      TILEDQR_CHECK(c < count, tiledqr::stringf("task %d has tile coordinate %d, but a "
+                                                "factorization with %lld tasks has fewer "
+                                                "tile rows and columns",
+                                                e.task, c, static_cast<long long>(count)));
     tiledqr::dag::Task t{static_cast<tiledqr::kernels::KernelKind>(e.kind),
                          e.i, e.piv, e.k, e.j, 0, {}};
     p = std::max({p, e.i + 1, e.piv + 1});
     q = std::max({q, e.k + 1, e.j + 1});
     tasks.push_back(std::move(t));
   }
+  TILEDQR_CHECK(std::int64_t(p) * q < 2 * count,
+                tiledqr::stringf("a factorization of a %d x %d tile grid has more than %lld "
+                                 "tasks, but the trace group has %lld",
+                                 p, q, static_cast<long long>(p) * q / 2,
+                                 static_cast<long long>(count)));
   tiledqr::dag::infer_dependencies(p, q, tasks);
   tiledqr::dag::TaskGraph g;
   g.p = p;
