@@ -1,8 +1,6 @@
 // Serving throughput: the regime the persistent runtime exists for.
 //
-// Four execution strategies over the same work:
-//   spawn-per-call   — the seed behavior: re-plan the DAG and spawn/join a
-//                      fresh std::thread pool for every factorization
+// Three execution strategies over the same work:
 //   pool-sequential  — persistent pool + plan cache, one factorization at a
 //                      time (submit, wait, repeat)
 //   pool-batch       — per-matrix submissions: all DAGs in flight at once,
@@ -11,17 +9,18 @@
 //                      into ONE DAG submission (cached fused plan + cached
 //                      scheduling ranks, per-subgraph completion sentinels)
 //
-// A dedicated overhead section isolates the per-submission scheduling cost
-// of fused vs per-matrix batches with empty task bodies, and the fused
-// results are checked bitwise against the sequential per-matrix replay.
+// A dedicated overhead section isolates the per-graph dispatch cost of the
+// pool and the per-submission cost of fused vs per-matrix batches with empty
+// task bodies, and the fused results are checked bitwise against the
+// sequential per-matrix replay.
 //
 // Workloads: a batch of small QRs (default 64 x 512x512, nb = 128 — tiny
 // 4x4-tile DAGs where scheduling overhead dominates) and one large QR
 // (default 2048x2048; TILEDQR_LARGE_N=4096 for the paper-scale point).
 //
 // Emits a table and, unless TILEDQR_BENCH_JSON is empty, a JSON blob with
-// the raw numbers (fact/sec, speedups, plan-cache hit rate) so CI and later
-// PRs have a perf trajectory to compare against.
+// the raw numbers (fact/sec, speedups over pool-sequential, plan-cache hit
+// rate) so CI and later PRs have a perf trajectory to compare against.
 //
 // Env knobs: TILEDQR_SERVE_COUNT, TILEDQR_SERVE_N, TILEDQR_SERVE_NB,
 // TILEDQR_LARGE_N, TILEDQR_THREADS, TILEDQR_REPS, TILEDQR_QUICK,
@@ -67,32 +66,6 @@ Workload make_workload(int count, std::int64_t n, int nb, int ib) {
     w.tiles.push_back(TileMatrix<double>::from_dense(dense.view(), nb));
   }
   return w;
-}
-
-/// Seed behavior: plan from scratch and spawn/join threads for every call.
-ModeResult run_spawn_per_call(const Workload& w, int threads, int reps) {
-  ModeResult out;
-  double best = -1.0;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer timer;
-    for (const auto& t0 : w.tiles) {
-      TileMatrix<double> a = t0;
-      auto plan = core::make_plan(a.mt(), a.nt(), *w.opt.tree);
-      core::TStore<double> ts(a.mt(), a.nt(), w.opt.ib, a.nb());
-      core::TStore<double> t2s(a.mt(), a.nt(), w.opt.ib, a.nb());
-      runtime::execute_spawn(
-          plan.graph,
-          [&](std::int32_t idx) {
-            core::run_task_kernels(plan.graph.tasks[size_t(idx)], a, ts, t2s, w.opt.ib);
-          },
-          threads);
-    }
-    double sec = timer.seconds();
-    if (best < 0.0 || sec < best) best = sec;
-  }
-  out.seconds = best;
-  out.per_sec = double(w.tiles.size()) / best;
-  return out;
 }
 
 /// Persistent pool + plan cache, one factorization at a time.
@@ -149,7 +122,7 @@ ModeResult run_pool_fused(core::QrSession& session, const Workload& w, int reps)
 }
 
 /// Fused results must be bitwise identical to the sequential per-matrix
-/// execute_spawn replay (the acceptance bar for DAG fusion).
+/// replay (the acceptance bar for DAG fusion).
 bool verify_fused_bitwise(core::QrSession& session, const Workload& w, int check_count) {
   std::vector<TileMatrix<double>> copies(w.tiles.begin(), w.tiles.end());
   auto qrs = session.factorize_batch(std::move(copies), w.opt);
@@ -159,7 +132,7 @@ bool verify_fused_bitwise(core::QrSession& session, const Workload& w, int check
     auto plan = core::make_plan(a.mt(), a.nt(), *w.opt.tree);
     core::TStore<double> ts(a.mt(), a.nt(), w.opt.ib, a.nb());
     core::TStore<double> t2s(a.mt(), a.nt(), w.opt.ib, a.nb());
-    runtime::execute_spawn(
+    runtime::execute(
         plan.graph,
         [&](std::int32_t idx) {
           core::run_task_kernels(plan.graph.tasks[size_t(idx)], a, ts, t2s, w.opt.ib);
@@ -180,37 +153,20 @@ void add_mode_row(TextTable& t, const char* mode, const ModeResult& r, const Mod
 }
 
 /// Pure scheduling overhead (paper fig. 2-3 style): drive the small-QR DAG
-/// with empty task bodies, so the only cost is planning + dispatch. This is
-/// the quantity the persistent pool + plan cache exist to shrink, and it is
-/// hardware-independent enough to compare across hosts.
-struct OverheadResult {
-  double spawn_us_per_graph = 0.0;
-  double pool_us_per_graph = 0.0;
-};
-
-OverheadResult run_overhead(int p, int q, int threads, int calls) {
-  OverheadResult out;
+/// with empty task bodies, so the only cost is plan lookup + dispatch. This
+/// is the quantity the persistent pool + plan cache exist to shrink, and it
+/// is hardware-independent enough to compare across hosts. Returns us/graph.
+double run_overhead(int p, int q, int threads, int calls) {
   auto noop = [](std::int32_t) {};
   const trees::TreeConfig tree{};
-  {
-    WallTimer timer;
-    for (int c = 0; c < calls; ++c) {
-      auto plan = core::make_plan(p, q, tree);  // seed: re-plan every call
-      runtime::execute_spawn(plan.graph, noop, threads);
-    }
-    out.spawn_us_per_graph = timer.seconds() * 1e6 / calls;
+  core::PlanCache cache;
+  runtime::ThreadPool pool(threads);
+  WallTimer timer;
+  for (int c = 0; c < calls; ++c) {
+    auto plan = cache.get(p, q, tree);
+    pool.run(plan->graph, noop);
   }
-  {
-    core::PlanCache cache;
-    runtime::ThreadPool pool(threads);
-    WallTimer timer;
-    for (int c = 0; c < calls; ++c) {
-      auto plan = cache.get(p, q, tree);
-      pool.run(plan->graph, noop);
-    }
-    out.pool_us_per_graph = timer.seconds() * 1e6 / calls;
-  }
-  return out;
+  return timer.seconds() * 1e6 / calls;
 }
 
 /// Per-submission scheduling overhead of a fused batch vs per-matrix DAGs:
@@ -307,14 +263,13 @@ int main() {
   const int small_nb = int(env_long("TILEDQR_SERVE_NB", 128));
   const std::int64_t large_n = env_long("TILEDQR_LARGE_N", knobs.quick ? 1024 : 2048);
 
-  std::printf("=== Serving throughput: spawn-per-call vs persistent pool ===\n");
+  std::printf("=== Serving throughput: persistent pool, per-matrix vs fused ===\n");
   std::printf("threads=%d small=%dx %lldx%lld (nb=%d) large=%lldx%lld (nb=%d) reps=%d\n\n",
               threads, count, (long long)small_n, (long long)small_n, small_nb,
               (long long)large_n, (long long)large_n, small_nb, knobs.reps);
 
   // ---- batch of small QRs --------------------------------------------- --
   auto small = make_workload(count, small_n, small_nb, knobs.ib);
-  auto spawn_small = run_spawn_per_call(small, threads, knobs.reps);
   core::QrSession session(core::QrSession::Config{threads});
   auto seq_small = run_pool_sequential(session, small, knobs.reps);
   auto batch_small = run_pool_batch(session, small, knobs.reps);
@@ -328,10 +283,9 @@ int main() {
   TextTable ts(stringf("%d x %lldx%lld QRs (nb=%d, %d threads)", count, (long long)small_n,
                        (long long)small_n, small_nb, threads));
   ts.set_header({"mode", "seconds", "fact/s", "speedup"});
-  add_mode_row(ts, "spawn-per-call", spawn_small, spawn_small);
-  add_mode_row(ts, "pool-sequential", seq_small, spawn_small);
-  add_mode_row(ts, "pool-batch", batch_small, spawn_small);
-  add_mode_row(ts, "pool-fused", fused_small, spawn_small);
+  add_mode_row(ts, "pool-sequential", seq_small, seq_small);
+  add_mode_row(ts, "pool-batch", batch_small, seq_small);
+  add_mode_row(ts, "pool-fused", fused_small, seq_small);
   bench::emit(ts, "serving_small", knobs);
   std::printf("fused batch bitwise identical to sequential replay: %s\n",
               fused_bitwise ? "yes" : "NO (BUG)");
@@ -348,13 +302,10 @@ int main() {
   // ---- pure scheduling overhead ----------------------------------------- --
   const int tile_p = int((small_n + small_nb - 1) / small_nb);
   const int overhead_calls = knobs.quick ? 100 : 400;
-  auto overhead = run_overhead(tile_p, tile_p, threads, overhead_calls);
+  const double pool_us_per_graph = run_overhead(tile_p, tile_p, threads, overhead_calls);
   std::printf("scheduling overhead on the %dx%d-tile DAG (empty bodies, %d calls):\n", tile_p,
               tile_p, overhead_calls);
-  std::printf("  spawn-per-call + re-plan : %9.1f us/graph\n", overhead.spawn_us_per_graph);
-  std::printf("  persistent pool + cache  : %9.1f us/graph  (%.1fx less overhead)\n\n",
-              overhead.pool_us_per_graph,
-              overhead.spawn_us_per_graph / overhead.pool_us_per_graph);
+  std::printf("  persistent pool + cache  : %9.1f us/graph\n\n", pool_us_per_graph);
 
   // ---- fused vs per-matrix submission overhead -------------------------- --
   std::vector<FusedOverheadResult> fused_overheads;
@@ -438,15 +389,13 @@ int main() {
 
   // ---- one large QR ---------------------------------------------------- --
   auto large = make_workload(1, large_n, small_nb, knobs.ib);
-  auto spawn_large = run_spawn_per_call(large, threads, knobs.reps);
   core::QrSession large_session(core::QrSession::Config{threads});
   auto pool_large = run_pool_sequential(large_session, large, knobs.reps);
 
   TextTable tl(stringf("one %lldx%lld QR (nb=%d, %d threads)", (long long)large_n,
                        (long long)large_n, small_nb, threads));
-  tl.set_header({"mode", "seconds", "fact/s", "speedup"});
-  add_mode_row(tl, "spawn-per-call", spawn_large, spawn_large);
-  add_mode_row(tl, "pool", pool_large, spawn_large);
+  tl.set_header({"mode", "seconds", "fact/s"});
+  tl.add_row({"pool", stringf("%.4f", pool_large.seconds), stringf("%.2f", pool_large.per_sec)});
   bench::emit(tl, "serving_large", knobs);
 
   // ---- JSON record ----------------------------------------------------- --
@@ -459,27 +408,23 @@ int main() {
                     std::thread::hardware_concurrency(), threads)
          << stringf("  \"small\": {\"count\": %d, \"n\": %lld, \"nb\": %d,\n", count,
                     (long long)small_n, small_nb)
-         << stringf("    \"spawn_per_call\": {\"seconds\": %.6f, \"per_sec\": %.3f},\n",
-                    spawn_small.seconds, spawn_small.per_sec)
          << stringf("    \"pool_sequential\": {\"seconds\": %.6f, \"per_sec\": %.3f},\n",
                     seq_small.seconds, seq_small.per_sec)
          << stringf("    \"pool_batch\": {\"seconds\": %.6f, \"per_sec\": %.3f},\n",
                     batch_small.seconds, batch_small.per_sec)
          << stringf("    \"pool_fused\": {\"seconds\": %.6f, \"per_sec\": %.3f},\n",
                     fused_small.seconds, fused_small.per_sec)
-         << stringf("    \"speedup_pool_batch_vs_spawn\": %.3f,\n",
-                    spawn_small.seconds / batch_small.seconds)
-         << stringf("    \"speedup_pool_fused_vs_spawn\": %.3f,\n",
-                    spawn_small.seconds / fused_small.seconds)
+         << stringf("    \"speedup_pool_batch_vs_sequential\": %.3f,\n",
+                    seq_small.seconds / batch_small.seconds)
+         << stringf("    \"speedup_pool_fused_vs_sequential\": %.3f,\n",
+                    seq_small.seconds / fused_small.seconds)
          << stringf("    \"fused_bitwise_identical\": %s,\n", fused_bitwise ? "true" : "false")
          << stringf("    \"plan_cache\": {\"hits\": %ld, \"misses\": %ld, \"hit_rate\": %.4f, "
                     "\"fused_hits\": %ld, \"fused_misses\": %ld}},\n",
                     cache_stats.hits, cache_stats.misses, cache_stats.hit_rate(),
                     cache_stats.fused_hits, cache_stats.fused_misses)
-         << stringf("  \"scheduling_overhead_us_per_graph\": {\"spawn_per_call\": %.1f, "
-                    "\"persistent_pool\": %.1f, \"ratio\": %.2f},\n",
-                    overhead.spawn_us_per_graph, overhead.pool_us_per_graph,
-                    overhead.spawn_us_per_graph / overhead.pool_us_per_graph);
+         << stringf("  \"scheduling_overhead_us_per_graph\": {\"persistent_pool\": %.1f},\n",
+                    pool_us_per_graph);
     json << "  \"fused_overhead_us_per_graph\": [";
     for (size_t i = 0; i < fused_overheads.size(); ++i) {
       const auto& fo = fused_overheads[i];
@@ -519,9 +464,7 @@ int main() {
                     bd.stolen_edges, bd.model_cp_seconds * 1e3, bd.realized_over_model);
     json
          << stringf("  \"large\": {\"n\": %lld, \"nb\": %d,\n", (long long)large_n, small_nb)
-         << stringf("    \"spawn_per_call\": {\"seconds\": %.6f},\n", spawn_large.seconds)
-         << stringf("    \"pool\": {\"seconds\": %.6f},\n", pool_large.seconds)
-         << stringf("    \"speedup_pool_vs_spawn\": %.3f}\n", spawn_large.seconds / pool_large.seconds)
+         << stringf("    \"pool\": {\"seconds\": %.6f}}\n", pool_large.seconds)
          << "}\n";
     std::printf("(json written to %s)\n", json_path.c_str());
   }

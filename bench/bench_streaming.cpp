@@ -31,7 +31,6 @@
 // TILEDQR_QUICK, TILEDQR_STREAM_ASSERT, TILEDQR_BENCH_JSON (output path,
 // default BENCH_streaming.json).
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <thread>
 #include <vector>
@@ -266,15 +265,13 @@ ModeResult run_streamed(core::QrSession& session, const Workload& w, int depth, 
 // ------------------------------------------------------ multicore scaling --
 
 /// One point of the streamed scaling sweep: the real-kernel workload pushed
-/// through a FactorStream on a fresh session with `threads` workers,
-/// component-affine stealing on or off (TILEDQR_AFFINE_STEAL — affine
-/// dealing only applies to stream components, which is why this sweep lives
-/// here and the pinning sweep lives in bench_serving_throughput). Steal
+/// through a FactorStream on a fresh session with `threads` workers. Stream
+/// components are dealt whole to a home worker, which is why this sweep
+/// lives here and the pinning sweep lives in bench_serving_throughput. Steal
 /// contention and the home/foreign locality split ride along so every
 /// throughput point carries its scheduler evidence.
 struct StreamScalingRow {
   int threads = 0;
-  bool affine = true;
   double per_sec = 0.0;
   double speedup_vs_1t = 0.0;
   long tasks_stolen = 0;
@@ -286,13 +283,10 @@ struct StreamScalingRow {
   std::int64_t steal_lat_p95_ns = 0;
 };
 
-StreamScalingRow run_stream_scaling_point(const Workload& w, int threads, bool affine,
-                                          int depth, int reps) {
-  setenv("TILEDQR_AFFINE_STEAL", affine ? "1" : "0", 1);
+StreamScalingRow run_stream_scaling_point(const Workload& w, int threads, int depth, int reps) {
   core::QrSession session(core::QrSession::Config{threads});
   StreamScalingRow row;
   row.threads = threads;
-  row.affine = affine;
   row.per_sec = run_streamed(session, w, depth, reps).per_sec;
   const auto stats = session.pool_stats();
   row.tasks_stolen = stats.tasks_stolen;
@@ -414,7 +408,7 @@ bool verify_streamed_bitwise(core::QrSession& session, const Workload& w, int ch
     auto plan = core::make_plan(a.mt(), a.nt(), *w.opt.tree);
     core::TStore<double> ts(a.mt(), a.nt(), w.opt.ib, a.nb());
     core::TStore<double> t2s(a.mt(), a.nt(), w.opt.ib, a.nb());
-    runtime::execute_spawn(
+    runtime::execute(
         plan.graph,
         [&](std::int32_t idx) {
           core::run_task_kernels(plan.graph.tasks[size_t(idx)], a, ts, t2s, w.opt.ib);
@@ -531,38 +525,28 @@ int main() {
   }
   std::printf("\n");
 
-  // ---- 5. multicore scaling: affine vs free stealing -------------------- --
-  // The real-kernel workload streamed across worker counts, with
-  // component-affine dealing on (default: each graft dealt whole to a home
-  // worker, stolen only when others run dry) and off (spread round-robin).
+  // ---- 5. multicore scaling ------------------------------------------- --
+  // The real-kernel workload streamed across worker counts; each graft is
+  // dealt whole to a home worker and stolen only when others run dry.
   // Worker counts above hardware_threads are oversubscribed — recorded
   // anyway so the curve is honest about the host.
-  const char* saved_affine = std::getenv("TILEDQR_AFFINE_STEAL");
   std::vector<StreamScalingRow> scaling;
   {
     const int scaling_reps = std::max(2, knobs.reps);
     std::printf("multicore scaling (streamed, %zu x %lldx%lld nb=%d, depth %d, best of %d):\n",
                 w.tiles.size(), (long long)small_n, (long long)small_n, nb, real_depth,
                 scaling_reps);
-    std::printf("  %7s %6s %10s %9s %8s %8s %8s %9s %9s %9s %9s\n", "threads", "affine", "fact/s",
-                "speedup", "stolen", "cas_ret", "empty", "home", "foreign", "st_p50us",
-                "st_p95us");
+    std::printf("  %7s %10s %9s %8s %8s %8s %9s %9s %9s %9s\n", "threads", "fact/s", "speedup",
+                "stolen", "cas_ret", "empty", "home", "foreign", "st_p50us", "st_p95us");
     for (int t : {1, 2, 4, 8}) {
-      for (bool affine : {true, false}) {
-        auto row = run_stream_scaling_point(w, t, affine, real_depth, scaling_reps);
-        const double base =
-            scaling.empty() ? row.per_sec : scaling.front().per_sec;  // 1t affine
-        row.speedup_vs_1t = row.per_sec / base;
-        std::printf("  %7d %6s %10.1f %8.2fx %8ld %8ld %8ld %9ld %9ld %9.1f %9.1f\n",
-                    row.threads, row.affine ? "yes" : "no", row.per_sec, row.speedup_vs_1t,
-                    row.tasks_stolen, row.steal_cas_retries, row.empty_steal_probes,
-                    row.tasks_home, row.tasks_foreign, double(row.steal_lat_p50_ns) / 1e3,
-                    double(row.steal_lat_p95_ns) / 1e3);
-        scaling.push_back(row);
-      }
+      auto row = run_stream_scaling_point(w, t, real_depth, scaling_reps);
+      row.speedup_vs_1t = row.per_sec / (scaling.empty() ? row.per_sec : scaling.front().per_sec);
+      std::printf("  %7d %10.1f %8.2fx %8ld %8ld %8ld %9ld %9ld %9.1f %9.1f\n", row.threads,
+                  row.per_sec, row.speedup_vs_1t, row.tasks_stolen, row.steal_cas_retries,
+                  row.empty_steal_probes, row.tasks_home, row.tasks_foreign,
+                  double(row.steal_lat_p50_ns) / 1e3, double(row.steal_lat_p95_ns) / 1e3);
+      scaling.push_back(row);
     }
-    saved_affine ? setenv("TILEDQR_AFFINE_STEAL", saved_affine, 1)
-                 : unsetenv("TILEDQR_AFFINE_STEAL");
   }
   std::printf("\n");
 
@@ -648,12 +632,12 @@ int main() {
     json << "  \"multicore_scaling\": [";
     for (size_t i = 0; i < scaling.size(); ++i) {
       const auto& r = scaling[i];
-      json << stringf("%s\n    {\"threads\": %d, \"affine_steal\": %s, \"per_sec\": %.3f, "
+      json << stringf("%s\n    {\"threads\": %d, \"per_sec\": %.3f, "
                       "\"speedup_vs_1t\": %.3f, \"tasks_stolen\": %ld, "
                       "\"steal_cas_retries\": %ld, \"empty_steal_probes\": %ld, "
                       "\"tasks_home\": %ld, \"tasks_foreign\": %ld, "
                       "\"steal_latency_p50_ns\": %lld, \"steal_latency_p95_ns\": %lld}",
-                      i ? "," : "", r.threads, r.affine ? "true" : "false", r.per_sec,
+                      i ? "," : "", r.threads, r.per_sec,
                       r.speedup_vs_1t, r.tasks_stolen, r.steal_cas_retries,
                       r.empty_steal_probes, r.tasks_home, r.tasks_foreign,
                       (long long)r.steal_lat_p50_ns, (long long)r.steal_lat_p95_ns);

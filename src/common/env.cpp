@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 namespace tiledqr {
@@ -47,8 +48,9 @@ bool env_flag(const char* name, bool fallback) {
 }
 
 int default_thread_count() {
-  long n = env_long("TILEDQR_THREADS", 0);
-  if (n > 0) return static_cast<int>(n);
+  // A count that does not fit in int is as unusable as an unparsable one.
+  const long n = env_long("TILEDQR_THREADS", 0);
+  if (n > 0 && n <= std::numeric_limits<int>::max()) return static_cast<int>(n);
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

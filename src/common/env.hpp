@@ -22,8 +22,9 @@ double env_double(const char* name, double fallback);
 /// Boolean env var: "1", "true", "yes", "on" (case-insensitive) are true.
 bool env_flag(const char* name, bool fallback = false);
 
-/// Number of worker threads to use by default: TILEDQR_THREADS if set,
-/// otherwise std::thread::hardware_concurrency() clamped to >= 1.
+/// Number of worker threads to use by default: TILEDQR_THREADS if it is a
+/// positive int, otherwise std::thread::hardware_concurrency() clamped to
+/// >= 1.
 int default_thread_count();
 
 }  // namespace tiledqr

@@ -3,7 +3,7 @@
 //
 // A session owns a persistent worker pool and a plan cache and amortizes
 // both across many factorizations — the "heavy traffic of repeated, often
-// small, QRs" regime where spawn-per-call scheduling overhead dominates
+// small, QRs" regime where per-call thread start-up and planning dominate
 // flops. Every entry path routes on shape: tall/square inputs factor by QR,
 // wide inputs (m < n) by LQ on the transposed (reduction) grid; solves are
 // least squares for tall inputs and minimum norm for wide ones.
@@ -306,12 +306,6 @@ class FactorSession {
     /// unique "stream<N>" — set it when a process runs several streams whose
     /// stats a dashboard must tell apart (e.g. "bulk" vs "interactive").
     std::string label;
-    /// Component-affinity hint (TILEDQR_AFFINE_STEAL): >= 0 pins every graft
-    /// of this stream to the same home worker (modulo the stream's worker
-    /// set) — use when a client's requests reuse the same tiles and should
-    /// stay in one core's cache across grafts. The default -1 rotates homes
-    /// per component, spreading load while each component still lands whole.
-    int affinity_hint = -1;
   };
 
   FactorSession() : pool_(0) {}
@@ -409,10 +403,10 @@ class FactorSession {
   [[nodiscard]] FactorStream<T> stream(StreamOptions opt = {});
 
   /// Applies op(Q) of a finished factorization to tiled C, asynchronously on
-  /// the session pool (no spawn path, no blocking). `qr` is borrowed and
-  /// must stay alive until the future resolves; C is consumed and handed
-  /// back through the future. Results are bitwise identical to
-  /// qr.apply_q(trans, c, ...) on the same input.
+  /// the session pool (no blocking). `qr` is borrowed and must stay alive
+  /// until the future resolves; C is consumed and handed back through the
+  /// future. Results are bitwise identical to qr.apply_q(trans, c, ...) on
+  /// the same input.
   template <typename T>
   [[nodiscard]] std::future<TileMatrix<T>> apply_q_async(const TiledQr<T>& qr, ApplyTrans trans,
                                                          TileMatrix<T> c) {
@@ -1163,8 +1157,7 @@ class FactorStream {
     state_->factor_opt = Options{opts.tree, opts.nb, opts.ib, opts.threads};
     state_->worker_cap = session->normalize_threads(state_->factor_opt);
     state_->opts = std::move(opts);
-    state_->stream =
-        session->pool_.open_stream(state_->worker_cap, state_->opts.affinity_hint);
+    state_->stream = session->pool_.open_stream(state_->worker_cap);
     auto& registry = obs::MetricsRegistry::global();
     // Raw State pointer, not the shared_ptr: the handle lives inside State,
     // so a shared capture would be a self-cycle. It deregisters first in

@@ -20,8 +20,8 @@
 // set_thread_track_name()) binds it to a Track; when the thread exits, the
 // Track returns to a free list and the next new thread reuses it — so the
 // number of Tracks is bounded by the peak concurrent thread count, not by
-// how many threads ever existed (the spawn-per-call executor baseline
-// creates thousands). Reuse clears the previous thread's events, drops, and
+// how many threads ever existed (a scaling sweep that builds a pool per
+// call creates many). Reuse clears the previous thread's events, drops, and
 // name: a report built mid-process must never mix a dead thread's stale
 // events into the current run's span or critical path. For reports over a
 // window narrower than "since the last clear", mark() stamps a begin-mark
@@ -178,7 +178,7 @@ class Tracer {
 };
 
 /// Monotonic id source for trace submission ids, shared by the ThreadPool's
-/// submissions and the spawn-path executor so ids are unique across both.
+/// submissions and the sequential replay so ids are unique across both.
 [[nodiscard]] std::uint32_t next_trace_submission_id() noexcept;
 
 /// Bits of task_observation_flags(): which observers want the runtime's

@@ -1,11 +1,7 @@
 #include "runtime/executor.hpp"
 
-#include <atomic>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
+#include <algorithm>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,14 +19,6 @@ namespace {
 obs::Tracer& g_tracer = obs::Tracer::instance();
 obs::KernelProfiler& g_kernel_profiler = obs::KernelProfiler::global();
 
-void record_task_event(const dag::TaskGraph& g, std::int32_t t, std::int64_t t0,
-                       std::int64_t t1, std::uint32_t submission) {
-  const dag::Task& task = g.tasks[size_t(t)];
-  g_tracer.record(t0, t1, std::uint8_t(task.kind), task.i, task.piv, task.k, task.j, t,
-                  submission, /*component=*/0, /*stolen=*/false);
-  g_kernel_profiler.record(std::uint8_t(task.kind), t1 - t0);
-}
-
 /// Priority-queue entry: higher key first, ties by ascending index.
 struct Prioritized {
   long key;
@@ -40,84 +28,10 @@ struct Prioritized {
   }
 };
 
-using ReadyQueue = std::priority_queue<Prioritized>;
-
-/// Shared scheduler state: a central priority queue. Tile tasks are tens of
-/// microseconds and up, so a mutex-protected queue is not a bottleneck at
-/// the thread counts we target (<= ~64).
-class Scheduler {
- public:
-  Scheduler(const dag::TaskGraph& g, const std::function<void(std::int32_t)>& body,
-            std::vector<long> keys)
-      : g_(g), body_(body), keys_(std::move(keys)), npred_(g.tasks.size()),
-        remaining_(long(g.tasks.size())) {
-    for (size_t t = 0; t < g.tasks.size(); ++t) {
-      npred_[t].store(g.tasks[t].npred, std::memory_order_relaxed);
-      if (g.tasks[t].npred == 0) ready_.push({keys_[t], std::int32_t(t)});
-    }
-  }
-
-  void worker_loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      cv_.wait(lock, [&] { return stop_ || failed_ || !ready_.empty(); });
-      if (stop_ || failed_) return;
-      std::int32_t t = ready_.top().task;
-      ready_.pop();
-      lock.unlock();
-
-      bool ok = true;
-      const bool traced = g_tracer.enabled();
-      const std::int64_t t0 = traced ? obs::now_ns() : 0;
-      try {
-        body_(t);
-      } catch (...) {
-        ok = false;
-        std::lock_guard<std::mutex> g2(mu_);
-        if (!error_) error_ = std::current_exception();
-        failed_ = true;
-      }
-      if (traced) record_task_event(g_, t, t0, obs::now_ns(), trace_id_);
-
-      lock.lock();
-      if (ok) {
-        for (std::int32_t s : g_.tasks[size_t(t)].succ) {
-          if (npred_[size_t(s)].fetch_sub(1, std::memory_order_acq_rel) == 1)
-            ready_.push({keys_[size_t(s)], s});
-        }
-      }
-      if (--remaining_ == 0 || failed_) {
-        stop_ = true;
-        cv_.notify_all();
-        return;
-      }
-      cv_.notify_all();
-    }
-  }
-
-  void rethrow_if_failed() {
-    if (error_) std::rethrow_exception(error_);
-  }
-
- private:
-  const dag::TaskGraph& g_;
-  const std::function<void(std::int32_t)>& body_;
-  const std::uint32_t trace_id_ = obs::next_trace_submission_id();
-  std::vector<long> keys_;
-  std::vector<std::atomic<std::int32_t>> npred_;
-  ReadyQueue ready_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  long remaining_;
-  bool stop_ = false;
-  bool failed_ = false;
-  std::exception_ptr error_;
-};
-
 void execute_sequential(const dag::TaskGraph& g, const std::function<void(std::int32_t)>& body,
                         const std::vector<long>& keys) {
   std::vector<std::int32_t> npred(g.tasks.size());
-  ReadyQueue ready;
+  std::priority_queue<Prioritized> ready;
   for (size_t t = 0; t < g.tasks.size(); ++t) {
     npred[t] = g.tasks[t].npred;
     if (npred[t] == 0) ready.push({keys[t], std::int32_t(t)});
@@ -130,7 +44,13 @@ void execute_sequential(const dag::TaskGraph& g, const std::function<void(std::i
     ready.pop();
     const std::int64_t t0 = traced ? obs::now_ns() : 0;
     body(t);
-    if (traced) record_task_event(g, t, t0, obs::now_ns(), sid);
+    if (traced) {
+      const std::int64_t t1 = obs::now_ns();
+      const dag::Task& task = g.tasks[size_t(t)];
+      g_tracer.record(t0, t1, std::uint8_t(task.kind), task.i, task.piv, task.k, task.j, t, sid,
+                      /*component=*/0, /*stolen=*/false);
+      g_kernel_profiler.record(std::uint8_t(task.kind), t1 - t0);
+    }
     ++done;
     for (std::int32_t s : g.tasks[size_t(t)].succ)
       if (--npred[size_t(s)] == 0) ready.push({keys[size_t(s)], s});
@@ -175,46 +95,13 @@ void execute(const dag::TaskGraph& g, const std::function<void(std::int32_t)>& b
   }
   ThreadPool& pool = ThreadPool::default_pool();
   if (threads > pool.size()) {
-    // The caller asked for more concurrency than the persistent pool has
-    // (e.g. a scaling ablation sweeping past the core count). Honor the
-    // exact thread count by oversubscribing, like the pre-pool executor.
-    execute_spawn(g, body, threads, priority, keys);
+    // More concurrency than the persistent pool has (e.g. a scaling ablation
+    // sweeping past the core count): honor the exact thread count with a
+    // pool of that size for this call.
+    ThreadPool(threads).run(g, body, priority, 0, keys);
     return;
   }
   pool.run(g, body, priority, threads, keys);
-}
-
-void execute_spawn(const dag::TaskGraph& g, const std::function<void(std::int32_t)>& body,
-                   int threads, SchedulePriority priority, const std::vector<long>* keys) {
-  TILEDQR_CHECK(threads >= 1, "execute_spawn: need at least one thread");
-  if (g.tasks.empty()) return;
-  if (threads == 1) {
-    // Borrowed keys are used in place (no per-call copy; see execute()).
-    if (keys)
-      execute_sequential(g, body, *keys);
-    else
-      execute_sequential(g, body, make_priority_keys(g, priority));
-    return;
-  }
-  // The spawn path's Scheduler owns its keys (it outlives this frame only
-  // via its worker threads), so borrowed keys are copied here.
-  Scheduler sched(g, body, keys ? *keys : make_priority_keys(g, priority));
-  std::vector<std::thread> pool;
-  pool.reserve(size_t(threads));
-  for (int w = 0; w < threads; ++w)
-    pool.emplace_back([&sched, w] {
-      g_tracer.set_thread_track_name("spawn.w" + std::to_string(w));
-      sched.worker_loop();
-    });
-  for (auto& th : pool) th.join();
-  sched.rethrow_if_failed();
-}
-
-ExecutionStats execute_timed(const dag::TaskGraph& g,
-                             const std::function<void(std::int32_t)>& body, int threads) {
-  WallTimer timer;
-  execute(g, body, threads);
-  return ExecutionStats{timer.seconds(), long(g.tasks.size())};
 }
 
 }  // namespace tiledqr::runtime

@@ -23,15 +23,15 @@ enum class SchedulePriority {
 /// Runs `body(task_index)` for every task in `g`, respecting dependencies.
 ///
 /// threads == 1 executes inline on the calling thread (deterministic order
-/// given the priority rule). threads > 1 submits the DAG to the process-wide
+/// given the priority rule) — the sequential replay the tests compare every
+/// schedule against. threads > 1 submits the DAG to the process-wide
 /// persistent worker pool (ThreadPool::default_pool()), capped to `threads`
 /// concurrent workers — unless `threads` exceeds the pool size, in which
-/// case the spawn path runs so the exact concurrency is still honored
-/// (scaling sweeps past the core count oversubscribe, as before). Any
-/// exception thrown by a task body is captured and
-/// rethrown on the calling thread after the DAG drains. Because tasks only
-/// read their declared inputs, results are bitwise identical for any thread
-/// count and priority rule.
+/// case the call runs on a ThreadPool of exactly `threads` workers built for
+/// it (scaling sweeps past the core count oversubscribe). Any exception
+/// thrown by a task body is captured and rethrown on the calling thread
+/// after the DAG drains. Because tasks only read their declared inputs,
+/// results are bitwise identical for any thread count and priority rule.
 ///
 /// `keys`, when non-null, supplies precomputed scheduling keys (one per
 /// task, higher runs first) and must outlive the call; the priority rule is
@@ -41,13 +41,6 @@ void execute(const dag::TaskGraph& g, const std::function<void(std::int32_t)>& b
              int threads, SchedulePriority priority = SchedulePriority::CriticalPath,
              const std::vector<long>* keys = nullptr);
 
-/// The pre-pool execution path: spawns `threads` fresh std::threads around a
-/// central priority queue and joins them before returning. Kept as the
-/// spawn-per-call baseline for the serving benchmarks; prefer execute().
-void execute_spawn(const dag::TaskGraph& g, const std::function<void(std::int32_t)>& body,
-                   int threads, SchedulePriority priority = SchedulePriority::CriticalPath,
-                   const std::vector<long>* keys = nullptr);
-
 /// Scheduling keys for a priority rule: CriticalPath uses downward_ranks(),
 /// EmissionOrder gives earlier tasks larger keys. Higher key = run first.
 std::vector<long> make_priority_keys(const dag::TaskGraph& g, SchedulePriority priority);
@@ -55,15 +48,5 @@ std::vector<long> make_priority_keys(const dag::TaskGraph& g, SchedulePriority p
 /// Longest weighted path from each task to a sink (Table 1 weights); the
 /// ranks used by SchedulePriority::CriticalPath.
 std::vector<long> downward_ranks(const dag::TaskGraph& g);
-
-/// Statistics from an instrumented run (used by the scaling ablation).
-struct ExecutionStats {
-  double seconds = 0.0;
-  long tasks = 0;
-};
-
-/// Like execute(), but reports wall time.
-ExecutionStats execute_timed(const dag::TaskGraph& g,
-                             const std::function<void(std::int32_t)>& body, int threads);
 
 }  // namespace tiledqr::runtime

@@ -138,11 +138,11 @@ struct ThreadPool::Submission {
   /// inflight is observed zero again. Stream handles and waiters hold their
   /// own shared_ptrs independently.
   std::shared_ptr<Submission> self_ref;
-  /// Streaming submission: enables front-pruning (above) and routes the deal
-  /// anchor through the pool-level round shared across streams.
+  /// Streaming submission: enables front-pruning (above) and deals each
+  /// component whole to a home worker from the pool-level rotation.
   bool stream = false;
   /// Trace id: which submission an event belongs to (unique across pools and
-  /// the spawn-path executor).
+  /// the sequential replay).
   std::uint32_t id = 0;
   /// The pool's streams-closed counter (engaged for streams only).
   /// Incremented once — by the first close(), or from ~Submission when the
@@ -170,13 +170,6 @@ struct ThreadPool::Submission {
   std::atomic<bool> done{false};  ///< closed && everything retired
   int first_worker = 0;
   int worker_count = 0;
-  /// Home anchor under affine dealing: >= 0 pins every component of this
-  /// stream to the same slot of its worker set; < 0 rotates per component.
-  int affinity_hint = -1;
-  /// Rotates the deal anchor within the worker set per append, so a
-  /// one-shot-heavy workload spreads sources instead of always loading the
-  /// same worker first.
-  std::atomic<unsigned> deal_round{0};
 };
 
 /// Per-worker ready set: a fixed array of lanes, one Chase–Lev deque per
@@ -267,7 +260,6 @@ struct ThreadPool::Worker {
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) threads = default_thread_count();
   pin_workers_ = env_flag("TILEDQR_PIN", false);
-  affine_steal_ = env_flag("TILEDQR_AFFINE_STEAL", true);
   label_ = obs::MetricsRegistry::global().unique_label("pool");
   workers_.reserve(size_t(threads));
   for (int w = 0; w < threads; ++w) workers_.push_back(std::make_unique<Worker>());
@@ -480,16 +472,13 @@ ThreadPool::Component& ThreadPool::append_component(
   });
 
   const int pool_size = size();
-  if (affine_steal_ && sub->stream) {
+  if (sub->stream) {
     // Component-affine dealing: the whole component goes to one home worker
     // so a request's tiles stay in one cache; siblings steal only when idle.
     // Homes rotate per component from the pool-level round shared by all
-    // streams, unless the stream pinned a slot via its affinity hint.
-    const int slot =
-        sub->affinity_hint >= 0
-            ? sub->affinity_hint % sub->worker_count
-            : int(stream_deal_round_.fetch_add(1, std::memory_order_relaxed) %
-                  unsigned(sub->worker_count));
+    // streams.
+    const int slot = int(stream_deal_round_.fetch_add(1, std::memory_order_relaxed) %
+                         unsigned(sub->worker_count));
     const int home = (sub->first_worker + slot) % pool_size;
     comp->home = home;
     // Inbox order is drained-in-order into a LIFO lane, so push ascending
@@ -500,19 +489,11 @@ ThreadPool::Component& ThreadPool::append_component(
       items.push_back(Item{comp, *it});
     push_inbox(*workers_[size_t(home)], items.data(), items.size());
   } else {
-    // Spread dealing: round-robin across the submission's worker set from a
-    // rotating anchor. One-shot submissions rotate per submission
-    // (deal_round); stream grafts draw from the pool-level round advanced by
-    // the number of sources dealt — weighted round-robin, so a wide graft
-    // shifts the next stream's anchor past the workers it loaded.
-    const unsigned round =
-        sub->stream
-            ? stream_deal_round_.fetch_add(unsigned(sources.size()), std::memory_order_relaxed)
-            : sub->deal_round.fetch_add(1, std::memory_order_relaxed);
-    const int anchor = int(round % unsigned(sub->worker_count));
+    // Spread dealing of a one-shot submission: round-robin across its worker
+    // set, starting at first_worker (which rotates per submission).
     std::vector<std::vector<std::int32_t>> dealt(size_t(sub->worker_count));
     for (size_t i = 0; i < sources.size(); ++i)
-      dealt[(i + size_t(anchor)) % size_t(sub->worker_count)].push_back(sources[i]);
+      dealt[i % size_t(sub->worker_count)].push_back(sources[i]);
     for (int d = 0; d < sub->worker_count; ++d) {
       if (dealt[size_t(d)].empty()) continue;
       Worker& w = *workers_[size_t((sub->first_worker + d) % pool_size)];
@@ -572,54 +553,45 @@ std::future<void> ThreadPool::submit(const dag::TaskGraph& g,
   return future;
 }
 
+template <typename Pred>
+void ThreadPool::help_until(Pred done) {
+  // Completion bumps the epoch via signal_work, so a parked helper wakes for
+  // its predicate as well as for new work.
+  while (!done()) {
+    const long epoch = epoch_.load(std::memory_order_seq_cst);
+    if (try_run_one(tl_worker)) continue;
+    if (done()) break;
+    std::unique_lock<std::mutex> lock(sleep_mu_);
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    sleep_cv_.wait(lock,
+                   [&] { return done() || epoch_.load(std::memory_order_seq_cst) != epoch; });
+    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+  }
+}
+
 void ThreadPool::run(const dag::TaskGraph& g, const std::function<void(std::int32_t)>& body,
                      SchedulePriority priority, int max_workers, const std::vector<long>* keys) {
   if (g.tasks.empty()) return;
-  if (tl_pool == this) {
-    // Re-entrant call from a task body: the calling worker helps execute
-    // until this submission retires (blocking would deadlock the pool).
-    // When no admissible work exists it parks on the epoch/cv machinery
-    // like any worker (completion bumps the epoch via signal_work).
-    auto sub = submit_impl(g, body, nullptr, priority, max_workers, nullptr, keys, 1);
-    while (!sub->done.load(std::memory_order_acquire)) {
-      const long epoch = epoch_.load(std::memory_order_seq_cst);
-      if (try_run_one(tl_worker)) continue;
-      if (sub->done.load(std::memory_order_acquire)) break;
-      std::unique_lock<std::mutex> lock(sleep_mu_);
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      sleep_cv_.wait(lock, [&] {
-        return sub->done.load(std::memory_order_acquire) ||
-               epoch_.load(std::memory_order_seq_cst) != epoch;
-      });
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    }
-    Component& comp = sub->components.front();
-    std::lock_guard<std::mutex> lock(comp.err_mu);
-    if (comp.error) std::rethrow_exception(comp.error);
+  if (tl_pool != this) {
+    submit(g, body, priority, max_workers, nullptr, keys).get();
     return;
   }
-  std::promise<void> promise;
-  std::future<void> future = promise.get_future();
-  submit(
-      g, body,
-      [&promise](std::exception_ptr e) {
-        if (e)
-          promise.set_exception(e);
-        else
-          promise.set_value();
-      },
-      priority, max_workers, nullptr, keys, 1);
-  future.get();
+  // Re-entrant call from a task body: the calling worker helps execute until
+  // this submission retires (blocking would deadlock the pool).
+  auto sub = submit_impl(g, body, nullptr, priority, max_workers, nullptr, keys, 1);
+  help_until([&] { return sub->done.load(std::memory_order_acquire); });
+  Component& comp = sub->components.front();
+  std::lock_guard<std::mutex> lock(comp.err_mu);
+  if (comp.error) std::rethrow_exception(comp.error);
 }
 
 // ------------------------------------------------------------------ stream --
 
-ThreadPool::Stream ThreadPool::open_stream(int max_workers, int affinity_hint) {
+ThreadPool::Stream ThreadPool::open_stream(int max_workers) {
   Stream s;
   s.pool_ = this;
   s.sub_ = make_submission(max_workers, /*closed=*/false);
-  s.sub_->stream = true;  // prune retired grafts + pool-level deal rotation
-  s.sub_->affinity_hint = affinity_hint;
+  s.sub_->stream = true;  // prune retired grafts + component-affine dealing
   s.sub_->streams_closed = streams_closed_;
   s.sub_->gauge_counted.store(true, std::memory_order_release);
   streams_opened_.fetch_add(1, std::memory_order_relaxed);
@@ -681,17 +653,7 @@ void ThreadPool::wait_stream(const std::shared_ptr<Submission>& sub, long up_to_
   if (tl_pool == this) {
     // Waiting from a pool worker (e.g. a task body draining a stream it
     // feeds): help execute instead of deadlocking, like run().
-    while (!drained()) {
-      const long epoch = epoch_.load(std::memory_order_seq_cst);
-      if (try_run_one(tl_worker)) continue;
-      if (drained()) break;
-      std::unique_lock<std::mutex> lock(sleep_mu_);
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      sleep_cv_.wait(lock, [&] {
-        return drained() || epoch_.load(std::memory_order_seq_cst) != epoch;
-      });
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    }
+    help_until(drained);
     return;
   }
   std::unique_lock<std::mutex> lock(sleep_mu_);
@@ -833,16 +795,13 @@ bool ThreadPool::steal_inbox(Worker& victim, int thief_wid, Item& out) {
 }
 
 /// Owner: push a ready successor onto the lane serving its submission;
-/// falls back to the own inbox under lane pressure. Returns true always
-/// (the fallback cannot fail) — the bool keeps the call sites readable.
-bool ThreadPool::push_local(Worker& self, Submission* sub, Item item) {
+/// falls back to the own inbox under lane pressure.
+void ThreadPool::push_local(Worker& self, Submission* sub, Item item) {
   Worker::Lane* lane = self.lane_for(sub);
-  if (lane) {
+  if (lane)
     lane->deq.push(ChaseLevDeque<Component>::Entry{item.comp, item.task});
-  } else {
+  else
     push_inbox(self, &item, 1);
-  }
-  return true;
 }
 
 bool ThreadPool::try_run_one(int wid) {

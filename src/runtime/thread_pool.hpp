@@ -1,9 +1,9 @@
-// Persistent worker pool for the serving regime.
+// Persistent worker pool: the library's one DAG executor.
 //
-// The spawn-per-call executor (runtime::execute_spawn) pays a thread
-// create/join round trip on every factorization — invisible for one big QR,
-// dominant for the "many repeated small factorizations" workload the ROADMAP
-// targets. ThreadPool keeps the workers alive across factorizations:
+// Workers stay alive across factorizations, so the "many repeated small
+// factorizations" serving regime pays no thread create/join per DAG
+// (runtime::execute builds a pool for one call only when asked for more
+// workers than the default pool has):
 //
 //   * each worker owns a fixed set of *lanes* — one Chase–Lev lock-free
 //     deque per live submission it holds work for. The owner pushes and
@@ -13,19 +13,17 @@
 //     mailbox: dealers (submit/append from any thread) push there and the
 //     owner drains it into its lanes, preserving the single-producer
 //     invariant Chase–Lev requires;
-//   * the initial ready set of a DAG is dealt round-robin across workers in
-//     descending critical-path priority (the paper's scheduling rule), so
-//     every worker starts on the most urgent task it holds — except stream
-//     components under component-affine dealing (below);
+//   * the initial ready set of a one-shot DAG is dealt round-robin across
+//     workers in descending critical-path priority (the paper's scheduling
+//     rule), so every worker starts on the most urgent task it holds;
 //   * several DAGs can be in flight at once (the batched serving API
 //     interleaves them); each submission can be capped to a subset of
 //     workers so `execute(g, body, threads)` keeps its exact-concurrency
 //     semantics for the scaling ablations.
 //
-// Locality (component-affine stealing, TILEDQR_AFFINE_STEAL, default on):
-// a *stream* component is dealt whole to one home worker — rotating across
-// the worker set per component, or pinned by the stream's affinity hint —
-// so one request's tiles stay in one core's cache; siblings steal across
+// Locality (component-affine dealing): a *stream* component is dealt whole
+// to one home worker, rotating across the worker set per component, so one
+// request's tiles stay in one core's cache; siblings steal across
 // components only when their own lanes run dry. One-shot submissions keep
 // the round-robin source spread: a single DAG's parallelism *is* the spread.
 // TILEDQR_PIN=1 additionally pins worker threads to cores
@@ -56,8 +54,7 @@
 // worker makes progress regardless of graft arrival order.
 //
 // Tasks only write their declared outputs, so results are bitwise identical
-// to the sequential replay for any worker count, steal order, pinning, or
-// affinity setting.
+// to the sequential replay for any worker count, steal order, or pinning.
 #pragma once
 
 #include <array>
@@ -118,7 +115,7 @@ class ThreadPool {
 
   /// `threads == 0` resolves to default_thread_count() (TILEDQR_THREADS or
   /// hardware concurrency), the same rule the rest of the library uses.
-  /// TILEDQR_PIN and TILEDQR_AFFINE_STEAL are read here, once.
+  /// TILEDQR_PIN is read here, once.
   explicit ThreadPool(int threads = 0);
 
   /// Drains outstanding submissions, then stops and joins the workers.
@@ -221,11 +218,9 @@ class ThreadPool {
 
   /// Opens a streaming submission confined to `max_workers` workers
   /// (<= 0 = all), anchored like any submission. Components appended later
-  /// all share this worker set. `affinity_hint >= 0` pins the stream's
-  /// component home worker (modulo its worker set) under component-affine
-  /// dealing — every graft lands on the same core; < 0 rotates homes across
-  /// the set per component (the default load-spreading policy).
-  [[nodiscard]] Stream open_stream(int max_workers = 0, int affinity_hint = -1);
+  /// all share this worker set; each is dealt whole to a home worker that
+  /// rotates across the set per component.
+  [[nodiscard]] Stream open_stream(int max_workers = 0);
 
   [[nodiscard]] Stats stats() const noexcept;
 
@@ -288,6 +283,10 @@ class ThreadPool {
                                           const std::vector<long>* keys, int copies);
   void finalize_if_drained(Submission& sub);
   void wait_stream(const std::shared_ptr<Submission>& sub, long up_to_generation);
+  /// Re-entrant wait from one of this pool's workers: runs work (parking on
+  /// the epoch/cv machinery when none is admissible) until `done()` holds.
+  template <typename Pred>
+  void help_until(Pred done);
   void worker_main(int wid);
   bool try_run_one(int wid);
   void run_item(int wid, Item item, bool stolen);
@@ -299,7 +298,7 @@ class ThreadPool {
   bool steal_lanes(Worker& victim, Worker& thief, int thief_wid, Item& out);
   bool steal_inbox(Worker& victim, int thief_wid, Item& out);
   void push_inbox(Worker& w, const Item* items, std::size_t n);
-  bool push_local(Worker& self, Submission* sub, Item item);
+  void push_local(Worker& self, Submission* sub, Item item);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
@@ -314,8 +313,6 @@ class ThreadPool {
 
   /// TILEDQR_PIN: pin worker threads to cores (worker w -> core w mod ncpu).
   bool pin_workers_ = false;
-  /// TILEDQR_AFFINE_STEAL: deal stream components whole to a home worker.
-  bool affine_steal_ = true;
 
   /// In-flight *components*: a stream counts one per appended component, so
   /// an open-but-idle stream does not block the draining destructor.
@@ -323,11 +320,9 @@ class ThreadPool {
   /// Rotates the worker-set anchor (unsigned: wraps harmlessly in
   /// long-lived serving processes).
   std::atomic<unsigned> next_start_{0};
-  /// Pool-level deal round shared by ALL stream grafts: under affine dealing
-  /// it advances by one per component (rotating component homes across
-  /// streams); under spread dealing by the number of sources dealt (weighted
-  /// round-robin). Either way concurrent streams interleave across the
-  /// worker set instead of each independently rotating from its own anchor.
+  /// Pool-level home rotation shared by ALL stream grafts: advances by one
+  /// per component, so concurrent streams interleave across the worker set
+  /// instead of each independently rotating from its own anchor.
   std::atomic<unsigned> stream_deal_round_{0};
   /// Streams closed or abandoned, monotone (streams_live is derived as
   /// streams_opened_ − this, keeping every stats() input monotone so the

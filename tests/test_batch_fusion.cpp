@@ -1,6 +1,6 @@
 // Tests for multi-matrix DAG fusion: TaskGraph::append_offset / FusedPlan
 // structure, cached scheduling ranks, the fused factorize_batch path
-// (bitwise identity against the sequential per-matrix execute_spawn replay +
+// (bitwise identity against the sequential per-matrix replay +
 // paper-tolerance residuals over a (p, q, nb, tree, threads, batch) grid),
 // heterogeneous batches, fused-plan caching, and error handling.
 //
@@ -30,14 +30,14 @@ using trees::TreeKind;
 
 // ---------------------------------------------------------------- helpers --
 
-/// Sequential per-matrix replay through the pre-pool spawn path: the
+/// Sequential per-matrix replay (runtime::execute on one thread): the
 /// reference the fused results must match bit for bit.
 Matrix<double> replay_sequential(const Matrix<double>& a, const Options& opt) {
   auto tiles = TileMatrix<double>::from_dense(a.view(), opt.nb);
   auto plan = core::make_plan(tiles.mt(), tiles.nt(), *opt.tree);
   core::TStore<double> ts(tiles.mt(), tiles.nt(), opt.ib, tiles.nb());
   core::TStore<double> t2s(tiles.mt(), tiles.nt(), opt.ib, tiles.nb());
-  runtime::execute_spawn(
+  runtime::execute(
       plan.graph,
       [&](std::int32_t idx) {
         core::run_task_kernels(plan.graph.tasks[size_t(idx)], tiles, ts, t2s, opt.ib);

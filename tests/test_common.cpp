@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -56,7 +57,21 @@ TEST(Env, FlagVariants) {
   EXPECT_TRUE(env_flag("TILEDQR_TEST_FLAG", true));
 }
 
-TEST(Env, DefaultThreadCountPositive) { EXPECT_GE(default_thread_count(), 1); }
+TEST(Env, DefaultThreadCountPositive) {
+  EXPECT_GE(default_thread_count(), 1);
+  // A TILEDQR_THREADS value that is unparsable, not positive, or too large
+  // for an int falls back to the hardware count instead of wrapping.
+  const char* old = std::getenv("TILEDQR_THREADS");
+  const std::string saved = old ? old : "";
+  ::unsetenv("TILEDQR_THREADS");
+  const int fallback = default_thread_count();
+  EXPECT_GE(fallback, 1);
+  for (const char* v : {"abc", "-3", "2147483648", "4294967297"}) {
+    ::setenv("TILEDQR_THREADS", v, 1);
+    EXPECT_EQ(default_thread_count(), fallback) << v;
+  }
+  old ? ::setenv("TILEDQR_THREADS", saved.c_str(), 1) : ::unsetenv("TILEDQR_THREADS");
+}
 
 TEST(Timer, MeasuresNonNegative) {
   WallTimer t;

@@ -1,11 +1,11 @@
 // LQ workload tests: the first non-QR factorization through the
 // algorithm-generic engine. Covers numerical quality (||A - L Q|| / ||A||
 // and row-orthonormality of Q across elimination trees and kernel
-// families), bitwise determinism against the sequential replay across the
-// TILEDQR_PIN x TILEDQR_AFFINE_STEAL scheduling sweep, wide-shape routing
-// through every session entry point (submit, stream push, batch), and the
-// factor-kind keying of the PlanCache and TuningTable (same reduction grid,
-// distinct entries).
+// families), bitwise determinism against the sequential replay with worker
+// pinning off and on (TILEDQR_PIN), wide-shape routing through every
+// session entry point (submit, stream push, batch), and the factor-kind
+// keying of the PlanCache and TuningTable (same reduction grid, distinct
+// entries).
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -41,16 +41,17 @@ double lq_residual(const Matrix<T>& a, const TiledQr<T>& lq) {
   return double(difference_norm<T>(a.view(), prod.view()) / frobenius_norm<T>(a.view()));
 }
 
-/// Sequential per-matrix LQ replay through the pre-pool spawn path: the plan
-/// lives on the reduction grid (nt, mt) and the kernels run on the A-layout
-/// tiles — the reference every scheduled LQ result must match bit for bit.
+/// Sequential per-matrix LQ replay (runtime::execute on one thread): the
+/// plan lives on the reduction grid (nt, mt) and the kernels run on the
+/// A-layout tiles — the reference every scheduled LQ result must match bit
+/// for bit.
 Matrix<double> replay_sequential_lq(const Matrix<double>& a, int nb, int ib,
                                     const TreeConfig& tree) {
   auto tiles = TileMatrix<double>::from_dense(a.view(), nb);
   auto plan = core::make_plan(tiles.nt(), tiles.mt(), tree, FactorKind::LQ);
   core::TStore<double> ts(tiles.nt(), tiles.mt(), ib, tiles.nb());
   core::TStore<double> t2s(tiles.nt(), tiles.mt(), ib, tiles.nb());
-  runtime::execute_spawn(
+  runtime::execute(
       plan.graph,
       [&](std::int32_t idx) {
         core::run_task_kernels(plan.graph.tasks[size_t(idx)], tiles, ts, t2s, ib);
@@ -122,9 +123,9 @@ TEST(LqFactorization, ComplexWideResidual) {
 
 // ---------------------------------------------------- scheduling determinism --
 
-TEST(LqFactorization, BitwiseDeterministicAcrossPinAffineSweep) {
-  // Every (TILEDQR_PIN, TILEDQR_AFFINE_STEAL) scheduling mode must produce
-  // factors bitwise identical to the 1-thread sequential replay: LQ tasks
+TEST(LqFactorization, BitwiseDeterministicAcrossPinSweep) {
+  // Pinned and unpinned workers (TILEDQR_PIN) must both produce factors
+  // bitwise identical to the 1-thread sequential replay: LQ tasks
   // are commutative-free (each tile has one writer chain), so scheduling
   // order must not leak into the bits.
   Options opt;
@@ -140,27 +141,20 @@ TEST(LqFactorization, BitwiseDeterministicAcrossPinAffineSweep) {
   }
 
   const char* old_pin = std::getenv("TILEDQR_PIN");
-  const char* old_affine = std::getenv("TILEDQR_AFFINE_STEAL");
   for (int pin : {0, 1}) {
-    for (int affine : {0, 1}) {
-      setenv("TILEDQR_PIN", pin ? "1" : "0", 1);
-      setenv("TILEDQR_AFFINE_STEAL", affine ? "1" : "0", 1);
-      QrSession session(QrSession::Config{4});
-      std::vector<std::future<TiledQr<double>>> futs;
-      for (const auto& a : inputs)
-        futs.push_back(session.submit<double>(ConstMatrixView<double>(a.view()), opt));
-      for (int i = 0; i < kMats; ++i) {
-        auto lq = futs[size_t(i)].get();
-        ASSERT_EQ(lq.kind(), FactorKind::LQ);
-        expect_bitwise(lq.factors().to_dense(), refs[size_t(i)],
-                       "matrix " + std::to_string(i) + " pin=" + std::to_string(pin) +
-                           " affine=" + std::to_string(affine));
-      }
+    setenv("TILEDQR_PIN", pin ? "1" : "0", 1);
+    QrSession session(QrSession::Config{4});
+    std::vector<std::future<TiledQr<double>>> futs;
+    for (const auto& a : inputs)
+      futs.push_back(session.submit<double>(ConstMatrixView<double>(a.view()), opt));
+    for (int i = 0; i < kMats; ++i) {
+      auto lq = futs[size_t(i)].get();
+      ASSERT_EQ(lq.kind(), FactorKind::LQ);
+      expect_bitwise(lq.factors().to_dense(), refs[size_t(i)],
+                     "matrix " + std::to_string(i) + " pin=" + std::to_string(pin));
     }
   }
   old_pin ? setenv("TILEDQR_PIN", old_pin, 1) : unsetenv("TILEDQR_PIN");
-  old_affine ? setenv("TILEDQR_AFFINE_STEAL", old_affine, 1)
-             : unsetenv("TILEDQR_AFFINE_STEAL");
 }
 
 // ------------------------------------------------------------ shape routing --

@@ -31,7 +31,7 @@ using trees::KernelFamily;
 using trees::TreeConfig;
 using trees::TreeKind;
 
-/// Sequential per-matrix replay through the pre-pool spawn path: the
+/// Sequential per-matrix replay (runtime::execute on one thread): the
 /// reference the streamed results must match bit for bit.
 Matrix<double> replay_sequential(const Matrix<double>& a, int nb, int ib,
                                  const TreeConfig& tree) {
@@ -39,7 +39,7 @@ Matrix<double> replay_sequential(const Matrix<double>& a, int nb, int ib,
   auto plan = core::make_plan(tiles.mt(), tiles.nt(), tree);
   core::TStore<double> ts(tiles.mt(), tiles.nt(), ib, tiles.nb());
   core::TStore<double> t2s(tiles.mt(), tiles.nt(), ib, tiles.nb());
-  runtime::execute_spawn(
+  runtime::execute(
       plan.graph,
       [&](std::int32_t idx) {
         core::run_task_kernels(plan.graph.tasks[size_t(idx)], tiles, ts, t2s, ib);
@@ -130,7 +130,7 @@ TEST(FactorStream, StreamedPushesMatchFixedBatchBitwise) {
       auto got = futures[size_t(i)].get().factors().to_dense();
       expect_bitwise(got, batch[size_t(i)].factors().to_dense(),
                      what + " vs batch, matrix " + std::to_string(i));
-      // Reference 2: the sequential spawn-path replay.
+      // Reference 2: the sequential replay.
       expect_bitwise(got, replay_sequential(inputs[size_t(i)], c.nb, c.nb / 2, c.tree),
                      what + " vs replay, matrix " + std::to_string(i));
     }

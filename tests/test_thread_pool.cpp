@@ -1,7 +1,8 @@
 // Tests for the persistent worker pool: reuse across DAGs, work stealing,
 // worker-set capping, bitwise determinism of factorizations across thread
 // counts, re-entrant run(), and exception propagation through every
-// execution path (sequential, spawn-per-call baseline, persistent pool).
+// execution path (sequential, per-call pool above the default size,
+// persistent pool).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -152,10 +153,10 @@ TEST(ThreadPool, ExceptionPropagatesThroughEveryPath) {
   auto failing = [](std::int32_t t) {
     if (t == 7) throw Error("injected failure");
   };
-  // Legacy sequential path.
+  // Sequential path.
   EXPECT_THROW(runtime::execute(g, failing, 1), Error);
-  // Legacy spawn-per-call path.
-  EXPECT_THROW(runtime::execute_spawn(g, failing, 4), Error);
+  // Above the default pool: a pool built for the call.
+  EXPECT_THROW(runtime::execute(g, failing, ThreadPool::default_pool().size() + 1), Error);
   // Persistent pool, blocking run().
   ThreadPool pool(4);
   EXPECT_THROW(pool.run(g, failing), Error);
@@ -169,8 +170,9 @@ TEST(ThreadPool, ExceptionPropagatesThroughEveryPath) {
 }
 
 TEST(ThreadPool, FactorizationBitwiseIdenticalAcrossThreadCounts) {
-  // The satellite stress test: the same matrix factored on 1/2/8 workers
-  // (sequential, pool-capped, pool-wide) must give bit-for-bit equal tiles.
+  // The same matrix factored on 1, 2, 8 and default-pool + 1 workers
+  // (sequential, pool-capped or pool-wide, and a pool built for the call)
+  // must give bit-for-bit equal tiles.
   core::Options opt;
   opt.nb = 32;
   opt.ib = 16;
@@ -179,7 +181,7 @@ TEST(ThreadPool, FactorizationBitwiseIdenticalAcrossThreadCounts) {
   opt.threads = 1;
   auto ref = core::TiledQr<double>::factorize(a.view(), opt);
   auto ref_dense = ref.factors().to_dense();
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 8, ThreadPool::default_pool().size() + 1}) {
     opt.threads = threads;
     for (int round = 0; round < 3; ++round) {
       auto qr = core::TiledQr<double>::factorize(a.view(), opt);
@@ -195,11 +197,11 @@ TEST(ThreadPool, FactorizationBitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST(ThreadPool, FactorizationBitwiseIdenticalAcrossSchedulingModes) {
-  // Determinism across the locality knobs: the same batch factored under
-  // every TILEDQR_PIN x TILEDQR_AFFINE_STEAL combination — both read at pool
-  // construction, so each setting gets a fresh session — must be bitwise
-  // equal to the sequential replay. The batch is homogeneous, so this also
-  // drives the replicated-component (copies > 1) scheduling path.
+  // Determinism across worker pinning: the same batch factored with
+  // TILEDQR_PIN off and on — read at pool construction, so each setting gets
+  // a fresh session — must be bitwise equal to the sequential replay. The
+  // batch is homogeneous, so this also drives the replicated-component
+  // (copies > 1) scheduling path.
   core::Options opt;
   opt.tree = trees::TreeConfig{};  // pin Greedy: a disengaged tree would autotune
   opt.nb = 32;
@@ -220,55 +222,50 @@ TEST(ThreadPool, FactorizationBitwiseIdenticalAcrossSchedulingModes) {
   }
 
   const char* old_pin = std::getenv("TILEDQR_PIN");
-  const char* old_affine = std::getenv("TILEDQR_AFFINE_STEAL");
   for (int pin : {0, 1}) {
-    for (int affine : {0, 1}) {
-      setenv("TILEDQR_PIN", pin ? "1" : "0", 1);
-      setenv("TILEDQR_AFFINE_STEAL", affine ? "1" : "0", 1);
-      core::QrSession session(core::QrSession::Config{4});
-      auto results = session.factorize_batch(views, opt);
-      ASSERT_EQ(results.size(), size_t(kBatch));
-      for (int b = 0; b < kBatch; ++b) {
-        auto dense = results[size_t(b)].factors().to_dense();
-        const auto& ref = refs[size_t(b)];
-        for (std::int64_t j = 0; j < dense.cols(); ++j)
-          for (std::int64_t i = 0; i < dense.rows(); ++i)
-            ASSERT_EQ(dense(i, j), ref(i, j)) << "matrix " << b << " at (" << i << "," << j
-                                              << ") pin=" << pin << " affine=" << affine;
-      }
-      // The locality split accounts for executed tasks. The two counters are
-      // adjacent but separate atomics, so a snapshot taken while the last
-      // tasks are retiring may lag by up to one task per worker.
-      auto stats = session.pool_stats();
-      EXPECT_LE(stats.tasks_home + stats.tasks_foreign, stats.tasks_executed)
-          << "pin=" << pin << " affine=" << affine;
-      EXPECT_GE(stats.tasks_home + stats.tasks_foreign, stats.tasks_executed - 4)
-          << "pin=" << pin << " affine=" << affine;
-      EXPECT_GT(stats.tasks_home, 0) << "pin=" << pin << " affine=" << affine;
+    setenv("TILEDQR_PIN", pin ? "1" : "0", 1);
+    core::QrSession session(core::QrSession::Config{4});
+    auto results = session.factorize_batch(views, opt);
+    ASSERT_EQ(results.size(), size_t(kBatch));
+    for (int b = 0; b < kBatch; ++b) {
+      auto dense = results[size_t(b)].factors().to_dense();
+      const auto& ref = refs[size_t(b)];
+      for (std::int64_t j = 0; j < dense.cols(); ++j)
+        for (std::int64_t i = 0; i < dense.rows(); ++i)
+          ASSERT_EQ(dense(i, j), ref(i, j))
+              << "matrix " << b << " at (" << i << "," << j << ") pin=" << pin;
     }
+    // The locality split accounts for executed tasks. The two counters are
+    // adjacent but separate atomics, so a snapshot taken while the last
+    // tasks are retiring may lag by up to one task per worker.
+    auto stats = session.pool_stats();
+    EXPECT_LE(stats.tasks_home + stats.tasks_foreign, stats.tasks_executed) << "pin=" << pin;
+    EXPECT_GE(stats.tasks_home + stats.tasks_foreign, stats.tasks_executed - 4) << "pin=" << pin;
+    EXPECT_GT(stats.tasks_home, 0) << "pin=" << pin;
   }
   old_pin ? setenv("TILEDQR_PIN", old_pin, 1) : unsetenv("TILEDQR_PIN");
-  old_affine ? setenv("TILEDQR_AFFINE_STEAL", old_affine, 1) : unsetenv("TILEDQR_AFFINE_STEAL");
 }
 
 TEST(ThreadPool, DefaultPoolBacksExecute) {
-  // execute(threads > 1) goes through the shared default pool (as long as
-  // the request fits the pool; above it, the spawn path honors the exact
-  // thread count). Repeated in-pool calls must not spawn-per-call:
-  // graphs_completed grows and the pool persists.
+  // execute(threads > 1) goes through the shared default pool as long as the
+  // request fits it: repeated calls reuse the pool, so graphs_completed
+  // grows. A request above the pool's size runs on a pool of exactly that
+  // many workers built for the call and leaves the default pool untouched.
   auto& pool = ThreadPool::default_pool();
   auto g = qr_graph(6, 3);
-  const int threads = pool.size();
-  auto before = pool.stats().graphs_completed;
-  for (int i = 0; i < 3; ++i) {
+  auto run = [&](int threads) {
     std::atomic<long> count{0};
-    runtime::execute(g, [&](std::int32_t) { count.fetch_add(1); }, std::max(threads, 2));
-    EXPECT_EQ(count.load(), long(g.tasks.size()));
-  }
-  if (threads >= 2)
+    runtime::execute(g, [&](std::int32_t) { count.fetch_add(1); }, threads);
+    EXPECT_EQ(count.load(), long(g.tasks.size())) << "threads=" << threads;
+  };
+  if (pool.size() >= 2) {
+    const long before = pool.stats().graphs_completed;
+    for (int i = 0; i < 3; ++i) run(pool.size());
     EXPECT_GE(pool.stats().graphs_completed, before + 3);
-  else  // single-worker default pool (1-CPU host): requests above it spawn
-    EXPECT_EQ(pool.stats().graphs_completed, before);
+  }
+  const long before = pool.stats().graphs_completed;
+  run(pool.size() + 1);
+  EXPECT_EQ(pool.stats().graphs_completed, before);
 }
 
 TEST(ThreadPool, EmptyGraphCompletesImmediately) {
