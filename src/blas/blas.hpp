@@ -4,8 +4,12 @@
 // ratios — the quantity the paper's experiments depend on — are faithful.
 //
 // All matrices are column-major views. Only the operations the library needs
-// are provided; each follows the semantics of its BLAS namesake.
+// are provided; each follows the semantics of its BLAS namesake. Read-only
+// operands are ConstMatrixView<std::type_identity_t<T>>: T is deduced from
+// the other arguments, so a MatrixView converts without a cast.
 #pragma once
+
+#include <type_traits>
 
 #include "blas/vector.hpp"
 #include "matrix/matrix_view.hpp"
@@ -36,30 +40,30 @@ inline std::int64_t op_cols(Op op, std::int64_t r, std::int64_t c) noexcept {
 
 /// C := alpha * op(A) * op(B) + beta * C
 template <typename T>
-void gemm(Op opa, Op opb, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
-          MatrixView<T> c);
+void gemm(Op opa, Op opb, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
+          ConstMatrixView<std::type_identity_t<T>> b, T beta, MatrixView<T> c);
 
 /// B := alpha * op(A) * B (Side::Left) or alpha * B * op(A) (Side::Right),
 /// with A triangular.
 template <typename T>
-void trmm(Side side, Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a,
-          MatrixView<T> b);
+void trmm(Side side, Uplo uplo, Op opa, Diag diag, T alpha,
+          ConstMatrixView<std::type_identity_t<T>> a, MatrixView<T> b);
 
 /// C := C + alpha * op(A) * B with A triangular (multiply-accumulate variant
 /// used by the TT kernels to exploit triangular structure).
 template <typename T>
-void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a,
-              ConstMatrixView<T> b, MatrixView<T> c);
+void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
+              ConstMatrixView<std::type_identity_t<T>> b, MatrixView<T> c);
 
 /// Solves op(A) * X = alpha * B (Side::Left) or X * op(A) = alpha * B
 /// (Side::Right) with A triangular; X overwrites B.
 template <typename T>
-void trsm(Side side, Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a,
-          MatrixView<T> b);
+void trsm(Side side, Uplo uplo, Op opa, Diag diag, T alpha,
+          ConstMatrixView<std::type_identity_t<T>> a, MatrixView<T> b);
 
 /// y := alpha * op(A) * x + beta * y (contiguous vectors).
 template <typename T>
-void gemv(Op opa, T alpha, ConstMatrixView<T> a, const T* x, T beta, T* y);
+void gemv(Op opa, T alpha, ConstMatrixView<std::type_identity_t<T>> a, const T* x, T beta, T* y);
 
 /// A := A + alpha * x * y^H (rank-1 update, contiguous vectors).
 template <typename T>
@@ -67,7 +71,7 @@ void ger(T alpha, const T* x, const T* y, MatrixView<T> a);
 
 /// C := C + alpha * B (same shapes).
 template <typename T>
-void add(T alpha, ConstMatrixView<T> b, MatrixView<T> c);
+void add(T alpha, ConstMatrixView<std::type_identity_t<T>> b, MatrixView<T> c);
 
 /// B := alpha * B.
 template <typename T>
@@ -91,61 +95,3 @@ double geqrf_flops(std::int64_t m, std::int64_t n, bool complex_scalar);
 
 #include "blas/gemm_impl.hpp"
 #include "blas/trmm_impl.hpp"
-
-namespace tiledqr::blas {
-
-// ---------------------------------------------------------------------------
-// Forwarding overloads: template deduction does not consider the
-// MatrixView -> ConstMatrixView conversion, so accept mutable views for
-// read-only operands explicitly.
-
-template <typename T>
-inline void gemm(Op opa, Op opb, T alpha, MatrixView<T> a, MatrixView<T> b, T beta,
-                 MatrixView<T> c) {
-  gemm(opa, opb, alpha, ConstMatrixView<T>(a), ConstMatrixView<T>(b), beta, c);
-}
-template <typename T>
-inline void gemm(Op opa, Op opb, T alpha, MatrixView<T> a, ConstMatrixView<T> b, T beta,
-                 MatrixView<T> c) {
-  gemm(opa, opb, alpha, ConstMatrixView<T>(a), b, beta, c);
-}
-template <typename T>
-inline void gemm(Op opa, Op opb, T alpha, ConstMatrixView<T> a, MatrixView<T> b, T beta,
-                 MatrixView<T> c) {
-  gemm(opa, opb, alpha, a, ConstMatrixView<T>(b), beta, c);
-}
-template <typename T>
-inline void trmm(Side side, Uplo uplo, Op opa, Diag diag, T alpha, MatrixView<T> a,
-                 MatrixView<T> b) {
-  trmm(side, uplo, opa, diag, alpha, ConstMatrixView<T>(a), b);
-}
-template <typename T>
-inline void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, MatrixView<T> a, MatrixView<T> b,
-                     MatrixView<T> c) {
-  trmm_acc(uplo, opa, diag, alpha, ConstMatrixView<T>(a), ConstMatrixView<T>(b), c);
-}
-template <typename T>
-inline void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, MatrixView<T> a,
-                     ConstMatrixView<T> b, MatrixView<T> c) {
-  trmm_acc(uplo, opa, diag, alpha, ConstMatrixView<T>(a), b, c);
-}
-template <typename T>
-inline void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a,
-                     MatrixView<T> b, MatrixView<T> c) {
-  trmm_acc(uplo, opa, diag, alpha, a, ConstMatrixView<T>(b), c);
-}
-template <typename T>
-inline void trsm(Side side, Uplo uplo, Op opa, Diag diag, T alpha, MatrixView<T> a,
-                 MatrixView<T> b) {
-  trsm(side, uplo, opa, diag, alpha, ConstMatrixView<T>(a), b);
-}
-template <typename T>
-inline void gemv(Op opa, T alpha, MatrixView<T> a, const T* x, T beta, T* y) {
-  gemv(opa, alpha, ConstMatrixView<T>(a), x, beta, y);
-}
-template <typename T>
-inline void add(T alpha, MatrixView<T> b, MatrixView<T> c) {
-  add(alpha, ConstMatrixView<T>(b), c);
-}
-
-}  // namespace tiledqr::blas

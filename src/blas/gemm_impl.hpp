@@ -127,8 +127,8 @@ void gemm_tt(Op opa, Op opb, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b
 }  // namespace detail
 
 template <typename T>
-void gemm(Op opa, Op opb, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
-          MatrixView<T> c) {
+void gemm(Op opa, Op opb, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
+          ConstMatrixView<std::type_identity_t<T>> b, T beta, MatrixView<T> c) {
   using detail::op_cols;
   using detail::op_rows;
   TILEDQR_CHECK(op_rows(opa, a.rows(), a.cols()) == c.rows(), "gemm: A/C row mismatch");
@@ -161,7 +161,7 @@ void gemm(Op opa, Op opb, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T
 }
 
 template <typename T>
-void gemv(Op opa, T alpha, ConstMatrixView<T> a, const T* x, T beta, T* y) {
+void gemv(Op opa, T alpha, ConstMatrixView<std::type_identity_t<T>> a, const T* x, T beta, T* y) {
   const std::int64_t m = a.rows();
   const std::int64_t n = a.cols();
   // BLAS semantics: beta == 0 OVERWRITES y — it must not read it, or NaN/Inf
@@ -208,7 +208,7 @@ void ger(T alpha, const T* x, const T* y, MatrixView<T> a) {
 }
 
 template <typename T>
-void add(T alpha, ConstMatrixView<T> b, MatrixView<T> c) {
+void add(T alpha, ConstMatrixView<std::type_identity_t<T>> b, MatrixView<T> c) {
   TILEDQR_CHECK(b.rows() == c.rows() && b.cols() == c.cols(), "add: shape mismatch");
   for (std::int64_t j = 0; j < c.cols(); ++j) axpy(c.rows(), alpha, b.col(j), c.col(j));
 }

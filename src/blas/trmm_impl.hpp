@@ -34,8 +34,8 @@ inline bool dotc_expressible(Op opa) {
 }  // namespace detail
 
 template <typename T>
-void trmm(Side side, Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a,
-          MatrixView<T> b) {
+void trmm(Side side, Uplo uplo, Op opa, Diag diag, T alpha,
+          ConstMatrixView<std::type_identity_t<T>> a, MatrixView<T> b) {
   const std::int64_t n = a.rows();
   TILEDQR_CHECK(a.rows() == a.cols(), "trmm: A must be square");
   TILEDQR_CHECK(side == Side::Left ? b.rows() == n : b.cols() == n, "trmm: shape mismatch");
@@ -193,8 +193,8 @@ void trmm(Side side, Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a
 }
 
 template <typename T>
-void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
-              MatrixView<T> c) {
+void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
+              ConstMatrixView<std::type_identity_t<T>> b, MatrixView<T> c) {
   const std::int64_t n = a.rows();
   TILEDQR_CHECK(a.rows() == a.cols(), "trmm_acc: A must be square");
   TILEDQR_CHECK(b.rows() == n && c.rows() == n && b.cols() == c.cols(),
@@ -294,8 +294,8 @@ void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a, Const
 }
 
 template <typename T>
-void trsm(Side side, Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a,
-          MatrixView<T> b) {
+void trsm(Side side, Uplo uplo, Op opa, Diag diag, T alpha,
+          ConstMatrixView<std::type_identity_t<T>> a, MatrixView<T> b) {
   const std::int64_t n = a.rows();
   TILEDQR_CHECK(a.rows() == a.cols(), "trsm: A must be square");
   TILEDQR_CHECK(side == Side::Left ? b.rows() == n : b.cols() == n, "trsm: shape mismatch");

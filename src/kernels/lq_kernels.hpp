@@ -151,24 +151,24 @@ void ttlqt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
 // (c's rows are indexed by A's columns): c := op(Q̃) c, where Q̃ is the dual
 // QR's orthogonal factor. v is the factored tile in A-layout.
 template <typename T>
-void unmlq(ApplyTrans trans, int ib, ConstMatrixView<T> v, ConstMatrixView<T> t,
-           MatrixView<T> c) {
+void unmlq(ApplyTrans trans, int ib, ConstMatrixView<std::type_identity_t<T>> v,
+           ConstMatrixView<std::type_identity_t<T>> t, MatrixView<T> c) {
   detail::WorkVec<T> buf(size_t(v.rows()) * size_t(v.cols()));
   MatrixView<T> vt(buf.data(), v.cols(), v.rows(), v.cols());
   detail::adjoint_copy_reflectors(v, vt);
-  unmqr(trans, ib, ConstMatrixView<T>(vt), t, c);
+  unmqr(trans, ib, vt, t, c);
 }
 
 // ---------------------------------------------------------------------------
 // TSMLQ: applies a TSLQT transformation (v2 = the zeroed tile holding dense
 // row-reflector tails, in A-layout) to the transposed-world pair [a1; a2].
 template <typename T>
-void tsmlq(ApplyTrans trans, int ib, ConstMatrixView<T> v2, ConstMatrixView<T> t,
-           MatrixView<T> a1, MatrixView<T> a2) {
+void tsmlq(ApplyTrans trans, int ib, ConstMatrixView<std::type_identity_t<T>> v2,
+           ConstMatrixView<std::type_identity_t<T>> t, MatrixView<T> a1, MatrixView<T> a2) {
   detail::WorkVec<T> buf(size_t(v2.rows()) * size_t(v2.cols()));
   MatrixView<T> vt(buf.data(), v2.cols(), v2.rows(), v2.cols());
   detail::adjoint_copy(v2, vt);
-  tsmqr(trans, ib, ConstMatrixView<T>(vt), t, a1, a2);
+  tsmqr(trans, ib, vt, t, a1, a2);
 }
 
 // ---------------------------------------------------------------------------
@@ -176,31 +176,12 @@ void tsmlq(ApplyTrans trans, int ib, ConstMatrixView<T> v2, ConstMatrixView<T> t
 // lower-trapezoidal row-reflector tails, in A-layout) to the transposed-world
 // pair [a1; a2].
 template <typename T>
-void ttmlq(ApplyTrans trans, int ib, ConstMatrixView<T> v2, ConstMatrixView<T> t,
-           MatrixView<T> a1, MatrixView<T> a2) {
+void ttmlq(ApplyTrans trans, int ib, ConstMatrixView<std::type_identity_t<T>> v2,
+           ConstMatrixView<std::type_identity_t<T>> t, MatrixView<T> a1, MatrixView<T> a2) {
   detail::WorkVec<T> buf(size_t(v2.rows()) * size_t(v2.cols()));
   MatrixView<T> vt(buf.data(), v2.cols(), v2.rows(), v2.cols());
   detail::adjoint_copy(v2, vt);
-  ttmqr(trans, ib, ConstMatrixView<T>(vt), t, a1, a2);
-}
-
-// ---------------------------------------------------------------------------
-// Convenience overloads accepting mutable views for read-only arguments
-// (template deduction does not consider the MatrixView -> ConstMatrixView
-// conversion).
-template <typename T>
-void unmlq(ApplyTrans trans, int ib, MatrixView<T> v, MatrixView<T> t, MatrixView<T> c) {
-  unmlq(trans, ib, ConstMatrixView<T>(v), ConstMatrixView<T>(t), c);
-}
-template <typename T>
-void tsmlq(ApplyTrans trans, int ib, MatrixView<T> v2, MatrixView<T> t, MatrixView<T> a1,
-           MatrixView<T> a2) {
-  tsmlq(trans, ib, ConstMatrixView<T>(v2), ConstMatrixView<T>(t), a1, a2);
-}
-template <typename T>
-void ttmlq(ApplyTrans trans, int ib, MatrixView<T> v2, MatrixView<T> t, MatrixView<T> a1,
-           MatrixView<T> a2) {
-  ttmlq(trans, ib, ConstMatrixView<T>(v2), ConstMatrixView<T>(t), a1, a2);
+  ttmqr(trans, ib, vt, t, a1, a2);
 }
 
 }  // namespace tiledqr::kernels

@@ -8,9 +8,15 @@
 //   TTQRT  zero a triangular tile against a triangle       (weight 2)
 //   TTMQR  apply a TTQRT transformation to a tile pair     (weight 6)
 //
-// Weights are in units of nb^3/3 flops. The TT kernels exploit the upper
-// triangular structure of the eliminated tile (reflector tails are upper
-// trapezoidal), which is where their 2x flop advantage over TS comes from.
+// Weights are in units of nb^3/3 flops. Two block-apply bodies serve the
+// three reflector shapes: larfb_left (householder.hpp) for GEQRT's unit-lower
+// tiles, and detail::tp_apply_block for the TS and TT pairs. Those pairs run
+// one elimination (LAPACK's triangular-pentagonal xTPQRT/xTPMQRT) and differ
+// only in the support rule: the tail of reflector c reaches all m2 rows of
+// the zeroed tile for TS, and rows 0..c for TT, whose tails stopping at a
+// triangle are the TT kernels' 2x flop advantage. detail::tpqrt factors both
+// pairs; TSMQR and TTMQR loop tp_apply_block over the ib-blocks, and TSQRT
+// and TTQRT call it on their trailing columns after each panel.
 //
 // Storage conventions (per tile, matching PLASMA):
 //  * after GEQRT, the tile holds R in its upper triangle and the unit-lower
@@ -25,6 +31,8 @@
 #pragma once
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -36,13 +44,146 @@ namespace detail {
 template <typename T>
 using WorkVec = std::vector<T, AlignedAllocator<T>>;
 
-/// Panel start offsets for blocked application: ascending when applying Q^H,
-/// descending when applying Q (Q = B_1 B_2 ... B_l, so Q C applies B_l first).
-inline std::vector<std::int64_t> block_starts(std::int64_t k, int ib, ApplyTrans trans) {
-  std::vector<std::int64_t> starts;
-  for (std::int64_t i = 0; i < k; i += ib) starts.push_back(i);
-  if (trans == ApplyTrans::NoTrans) std::reverse(starts.begin(), starts.end());
-  return starts;
+/// Calls f(i, sb) for each ib-wide block [i, i + sb) of k reflectors:
+/// ascending when applying Q^H, descending when applying Q
+/// (Q = B_1 B_2 ... B_l, so Q C applies B_l first).
+template <typename F>
+void for_each_block(ApplyTrans trans, std::int64_t k, int ib, F&& f) {
+  const std::int64_t last = (k - 1) / ib * ib;
+  for (std::int64_t s = 0; s < k; s += ib) {
+    const std::int64_t i = trans == ApplyTrans::ConjTrans ? s : last - s;
+    f(i, std::min<std::int64_t>(ib, k - i));
+  }
+}
+
+/// The reflector tails a TS or TT kernel leaves in its zeroed tile.
+enum class Tails { Dense, Trapezoid };
+
+/// The support rule: how many leading rows of an m2-row zeroed tile the tail
+/// of reflector c reaches.
+inline std::int64_t tail_rows(Tails tails, std::int64_t m2, std::int64_t c) noexcept {
+  return tails == Tails::Dense ? m2 : c + 1;
+}
+
+/// One ib-block of a TS/TT update: [c1; c2] := op(I - V tblk V^H) [c1; c2]
+/// with V = [I; v]. v holds the block's sb tails over the rows the last one
+/// reaches, and c2 the same rows of the lower tile. For trapezoidal tails the
+/// last sb rows of v are an upper triangle; all other rows are dense. `work`
+/// must hold sb * c1.cols() entries.
+template <typename T>
+void tp_apply_block(ApplyTrans trans, Tails tails, ConstMatrixView<std::type_identity_t<T>> v,
+                    ConstMatrixView<std::type_identity_t<T>> tblk, MatrixView<T> c1,
+                    MatrixView<T> c2, T* work) {
+  const std::int64_t sb = v.cols();
+  const std::int64_t nn = c1.cols();
+  const std::int64_t dense = tails == Tails::Dense ? v.rows() : v.rows() - sb;
+  const auto vd = v.sub(0, 0, dense, sb);
+  const auto c2d = c2.sub(0, 0, dense, nn);
+  MatrixView<T> w(work, sb, nn, sb);
+  // W := c1 + v^H c2
+  copy(c1, w);
+  if (dense > 0) blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), vd, c2d, T(1), w);
+  if (tails == Tails::Trapezoid)
+    blas::trmm_acc(blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit, T(1),
+                   v.sub(dense, 0, sb, sb), c2.sub(dense, 0, sb, nn), w);
+  // W := op(tblk) W
+  blas::trmm(blas::Side::Left, blas::Uplo::Upper,
+             trans == ApplyTrans::ConjTrans ? blas::Op::ConjTrans : blas::Op::NoTrans,
+             blas::Diag::NonUnit, T(1), tblk, w);
+  // c1 -= W, c2 -= v W
+  blas::add(T(-1), w, c1);
+  if (dense > 0) blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), vd, w, T(1), c2d);
+  if (tails == Tails::Trapezoid)
+    blas::trmm_acc(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(-1),
+                   v.sub(dense, 0, sb, sb), w, c2.sub(dense, 0, sb, nn));
+}
+
+/// TSQRT/TTQRT: QR of [R1; A2], where R1 is a1's upper triangle and column c
+/// of A2 is reduced over its first tail_rows(tails, m2, c) rows. On return
+/// a1's upper triangle holds the updated R, those rows of a2 the reflector
+/// tails, and t the block factors; no other element is touched.
+template <typename T>
+void tpqrt(Tails tails, int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
+  const char* name = tails == Tails::Dense ? "tsqrt" : "ttqrt";
+  const std::int64_t n = a1.cols();
+  const std::int64_t m2 = a2.rows();
+  TILEDQR_CHECK(ib >= 1, std::string(name) + ": ib must be >= 1");
+  TILEDQR_CHECK(a1.rows() >= n,
+                std::string(name) + ": a1 has fewer rows than columns (R1 must be n x n)");
+  TILEDQR_CHECK(a2.cols() == n, std::string(name) + ": a2 col mismatch");
+  TILEDQR_CHECK(tail_rows(tails, m2, n - 1) <= m2,
+                std::string(name) + ": a2 has fewer rows than columns (R2 must be n x n)");
+  TILEDQR_CHECK(t.rows() >= std::min<std::int64_t>(ib, n) && t.cols() >= n,
+                std::string(name) + ": T too small");
+
+  WorkVec<T> tau(static_cast<size_t>(n));
+  WorkVec<T> work(size_t(ib) * size_t(n));
+
+  for (std::int64_t i = 0; i < n; i += ib) {
+    const std::int64_t sb = std::min<std::int64_t>(ib, n - i);
+    // Factor the panel columns one by one.
+    for (std::int64_t j = 0; j < sb; ++j) {
+      const std::int64_t ci = i + j;
+      const std::int64_t len = tail_rows(tails, m2, ci);
+      larfg(a1(ci, ci), a2.col(ci), len, tau[ci]);
+      const T* v2 = a2.col(ci);
+      for (std::int64_t jj = ci + 1; jj < i + sb; ++jj) {
+        // w = a1(ci,jj) + v2^H a2(0:len,jj)
+        T w = a1(ci, jj) + blas::dotc(len, v2, a2.col(jj));
+        w *= conj_if_complex(tau[ci]);
+        a1(ci, jj) -= w;
+        blas::axpy(len, -w, v2, a2.col(jj));
+      }
+    }
+    // Form the sb x sb block factor: the identity parts of distinct
+    // reflectors are orthogonal, so only the tails contribute to V^H v_j.
+    // The dot product stops at the shorter tail: below a TT tail the tile
+    // holds unrelated data (the GEQRT reflectors).
+    auto tblk = t.sub(0, i, sb, sb);
+    for (std::int64_t j = 0; j < sb; ++j) {
+      for (std::int64_t l = 0; l < j; ++l)
+        tblk(l, j) = -tau[i + j] *
+                     blas::dotc(tail_rows(tails, m2, i + l), a2.col(i + l), a2.col(i + j));
+      if (j > 0) {
+        auto tcol = MatrixView<T>(&tblk(0, j), j, 1, tblk.ld());
+        blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit,
+                   T(1), tblk.sub(0, 0, j, j), tcol);
+      }
+      tblk(j, j) = tau[i + j];
+    }
+    // Apply the panel's block reflector (Q^H) to the trailing columns.
+    if (i + sb < n) {
+      const std::int64_t rows = tail_rows(tails, m2, i + sb - 1);
+      const std::int64_t nn = n - i - sb;
+      tp_apply_block(ApplyTrans::ConjTrans, tails, a2.sub(0, i, rows, sb), tblk,
+                     a1.sub(i, i + sb, sb, nn), a2.sub(0, i + sb, rows, nn), work.data());
+    }
+  }
+}
+
+/// TSMQR/TTMQR: [a1; a2] := op(Q) [a1; a2] for the Q whose tails tpqrt left
+/// in v2 and whose block factors it left in t.
+template <typename T>
+void tpmqr(Tails tails, ApplyTrans trans, int ib, ConstMatrixView<std::type_identity_t<T>> v2,
+           ConstMatrixView<std::type_identity_t<T>> t, MatrixView<T> a1, MatrixView<T> a2) {
+  const char* name = tails == Tails::Dense ? "tsmqr" : "ttmqr";
+  const std::int64_t k = v2.cols();
+  const std::int64_t m2 = v2.rows();
+  const std::int64_t nn = a1.cols();
+  TILEDQR_CHECK(ib >= 1, std::string(name) + ": ib must be >= 1");
+  TILEDQR_CHECK(a1.rows() >= k,
+                std::string(name) + ": a1 has fewer rows than V2 has reflectors");
+  TILEDQR_CHECK(a2.rows() == m2 && a2.cols() == nn && tail_rows(tails, m2, k - 1) <= m2,
+                std::string(name) + ": shape mismatch");
+  TILEDQR_CHECK(t.rows() >= std::min<std::int64_t>(ib, k) && t.cols() >= k,
+                std::string(name) + ": T too small");
+
+  WorkVec<T> work(size_t(ib) * size_t(nn));
+  for_each_block(trans, k, ib, [&](std::int64_t i, std::int64_t sb) {
+    const std::int64_t rows = tail_rows(tails, m2, i + sb - 1);
+    tp_apply_block(trans, tails, v2.sub(0, i, rows, sb), t.sub(0, i, sb, sb),
+                   a1.sub(i, 0, sb, nn), a2.sub(0, 0, rows, nn), work.data());
+  });
 }
 }  // namespace detail
 
@@ -78,81 +219,27 @@ void geqrt(int ib, MatrixView<T> a, MatrixView<T> t) {
 // UNMQR: applies the transformation computed by geqrt (v = factored tile,
 // t = its block factors) to an m x nn tile c: c := op(Q) c.
 template <typename T>
-void unmqr(ApplyTrans trans, int ib, ConstMatrixView<T> v, ConstMatrixView<T> t,
-           MatrixView<T> c) {
+void unmqr(ApplyTrans trans, int ib, ConstMatrixView<std::type_identity_t<T>> v,
+           ConstMatrixView<std::type_identity_t<T>> t, MatrixView<T> c) {
   const std::int64_t m = v.rows();
   const std::int64_t k = std::min(m, v.cols());
+  TILEDQR_CHECK(ib >= 1, "unmqr: ib must be >= 1");
   TILEDQR_CHECK(c.rows() == m, "unmqr: C row mismatch");
   detail::WorkVec<T> work(size_t(ib) * size_t(c.cols()));
-  for (std::int64_t i : detail::block_starts(k, ib, trans)) {
-    const std::int64_t sb = std::min<std::int64_t>(ib, k - i);
-    larfb_left(trans, v.sub(i, i, m - i, sb), t.sub(0, i, sb, sb),
-               c.sub(i, 0, m - i, c.cols()), work.data());
-  }
+  detail::for_each_block(trans, k, ib, [&](std::int64_t i, std::int64_t sb) {
+    larfb_left(trans, v.sub(i, i, m - i, sb), t.sub(0, i, sb, sb), c.sub(i, 0, m - i, c.cols()),
+               work.data());
+  });
 }
 
 // ---------------------------------------------------------------------------
-// TSQRT: QR of the (2nb) x n stacked pair [R1; A2] where a1's upper triangle
-// holds R1 and a2 is a full m2 x n tile. On return a1's upper triangle holds
-// the updated R, a2 holds the dense reflector tails V2, and t the block
-// factors. a1's strictly-lower part is never touched.
+// TSQRT: QR of the stacked pair [R1; A2] where a1's upper triangle holds R1
+// and a2 is a full m2 x n tile. On return a1's upper triangle holds the
+// updated R, a2 holds the dense reflector tails V2, and t the block factors.
+// a1's strictly-lower part is never touched.
 template <typename T>
 void tsqrt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
-  const std::int64_t n = a1.cols();
-  const std::int64_t m2 = a2.rows();
-  TILEDQR_CHECK(a1.rows() >= n,
-                "tsqrt: a1 has fewer rows than columns (R1 must hold an n x n triangle)");
-  TILEDQR_CHECK(a2.cols() == n, "tsqrt: a2 col mismatch");
-  TILEDQR_CHECK(ib >= 1, "tsqrt: ib must be >= 1");
-
-  detail::WorkVec<T> tau(static_cast<size_t>(n));
-  detail::WorkVec<T> work(size_t(ib) * size_t(n));
-
-  for (std::int64_t i = 0; i < n; i += ib) {
-    const std::int64_t sb = std::min<std::int64_t>(ib, n - i);
-    // Factor the panel columns one by one.
-    for (std::int64_t j = 0; j < sb; ++j) {
-      const std::int64_t ci = i + j;
-      larfg(a1(ci, ci), a2.col(ci), m2, tau[ci]);
-      const T* v2 = a2.col(ci);
-      for (std::int64_t jj = ci + 1; jj < i + sb; ++jj) {
-        // w = a1(ci,jj) + v2^H a2(:,jj);  rows (ci, :) of a1 and all of a2.
-        T w = a1(ci, jj) + blas::dotc(m2, v2, a2.col(jj));
-        w *= conj_if_complex(tau[ci]);
-        a1(ci, jj) -= w;
-        blas::axpy(m2, -w, v2, a2.col(jj));
-      }
-    }
-    // Form the sb x sb block factor: the identity parts of distinct
-    // reflectors are orthogonal, so only V2 contributes to V^H v_j.
-    auto tblk = t.sub(0, i, sb, sb);
-    for (std::int64_t j = 0; j < sb; ++j) {
-      for (std::int64_t l = 0; l < j; ++l)
-        tblk(l, j) = -tau[i + j] * blas::dotc(m2, a2.col(i + l), a2.col(i + j));
-      if (j > 0) {
-        auto tcol = MatrixView<T>(&tblk(0, j), j, 1, tblk.ld());
-        blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit,
-                   T(1), tblk.sub(0, 0, j, j), tcol);
-      }
-      tblk(j, j) = tau[i + j];
-    }
-    // Apply the block reflector (Q^H) to the trailing columns.
-    if (i + sb < n) {
-      const std::int64_t nn = n - i - sb;
-      auto c1 = a1.sub(i, i + sb, sb, nn);
-      auto c2 = a2.sub(0, i + sb, m2, nn);
-      auto v2 = a2.sub(0, i, m2, sb);
-      MatrixView<T> w(work.data(), sb, nn, sb);
-      copy(ConstMatrixView<T>(c1), w);
-      blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), ConstMatrixView<T>(v2),
-                 ConstMatrixView<T>(c2), T(1), w);
-      blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit,
-                 T(1), ConstMatrixView<T>(tblk), w);
-      blas::add(T(-1), ConstMatrixView<T>(w), c1);
-      blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), ConstMatrixView<T>(v2),
-                 ConstMatrixView<T>(w), T(1), c2);
-    }
-  }
+  detail::tpqrt(detail::Tails::Dense, ib, a1, a2, t);
 }
 
 // ---------------------------------------------------------------------------
@@ -160,30 +247,9 @@ void tsqrt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
 // reflector tails, t = its block factors) to the stacked pair [a1; a2]:
 //   [a1; a2] := op(Q) [a1; a2].
 template <typename T>
-void tsmqr(ApplyTrans trans, int ib, ConstMatrixView<T> v2, ConstMatrixView<T> t,
-           MatrixView<T> a1, MatrixView<T> a2) {
-  const std::int64_t k = v2.cols();
-  const std::int64_t m2 = v2.rows();
-  const std::int64_t nn = a1.cols();
-  TILEDQR_CHECK(a2.rows() == m2 && a2.cols() == nn, "tsmqr: shape mismatch");
-  detail::WorkVec<T> work(size_t(ib) * size_t(nn));
-
-  for (std::int64_t i : detail::block_starts(k, ib, trans)) {
-    const std::int64_t sb = std::min<std::int64_t>(ib, k - i);
-    auto v2blk = v2.sub(0, i, m2, sb);
-    auto tblk = t.sub(0, i, sb, sb);
-    auto c1 = a1.sub(i, 0, sb, nn);
-    MatrixView<T> w(work.data(), sb, nn, sb);
-    copy(ConstMatrixView<T>(c1), w);
-    blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), v2blk, ConstMatrixView<T>(a2),
-               T(1), w);
-    blas::trmm(blas::Side::Left, blas::Uplo::Upper,
-               trans == ApplyTrans::ConjTrans ? blas::Op::ConjTrans : blas::Op::NoTrans,
-               blas::Diag::NonUnit, T(1), tblk, w);
-    blas::add(T(-1), ConstMatrixView<T>(w), c1);
-    blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), v2blk, ConstMatrixView<T>(w), T(1),
-               a2);
-  }
+void tsmqr(ApplyTrans trans, int ib, ConstMatrixView<std::type_identity_t<T>> v2,
+           ConstMatrixView<std::type_identity_t<T>> t, MatrixView<T> a1, MatrixView<T> a2) {
+  detail::tpmqr(detail::Tails::Dense, trans, ib, v2, t, a1, a2);
 }
 
 // ---------------------------------------------------------------------------
@@ -193,125 +259,16 @@ void tsmqr(ApplyTrans trans, int ib, ConstMatrixView<T> v2, ConstMatrixView<T> t
 // lower parts of both tiles are preserved.
 template <typename T>
 void ttqrt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
-  const std::int64_t n = a1.cols();
-  TILEDQR_CHECK(a2.cols() == n, "ttqrt: a2 col mismatch");
-  TILEDQR_CHECK(ib >= 1, "ttqrt: ib must be >= 1");
-
-  detail::WorkVec<T> tau(static_cast<size_t>(n));
-  detail::WorkVec<T> work(size_t(ib) * size_t(n));
-
-  for (std::int64_t i = 0; i < n; i += ib) {
-    const std::int64_t sb = std::min<std::int64_t>(ib, n - i);
-    for (std::int64_t j = 0; j < sb; ++j) {
-      const std::int64_t ci = i + j;
-      // Column ci of a2 has nonzeros in rows 0..ci only.
-      larfg(a1(ci, ci), a2.col(ci), ci + 1, tau[ci]);
-      const T* v2 = a2.col(ci);
-      for (std::int64_t jj = ci + 1; jj < i + sb; ++jj) {
-        T w = a1(ci, jj) + blas::dotc(ci + 1, v2, a2.col(jj));
-        w *= conj_if_complex(tau[ci]);
-        a1(ci, jj) -= w;
-        blas::axpy(ci + 1, -w, v2, a2.col(jj));
-      }
-    }
-    auto tblk = t.sub(0, i, sb, sb);
-    for (std::int64_t j = 0; j < sb; ++j) {
-      // Reflector tail i+l has support rows 0..i+l only; the tile below that
-      // may hold unrelated data (the GEQRT reflectors), so the dot product
-      // must stop at the shorter support.
-      for (std::int64_t l = 0; l < j; ++l)
-        tblk(l, j) = -tau[i + j] * blas::dotc(i + l + 1, a2.col(i + l), a2.col(i + j));
-      if (j > 0) {
-        auto tcol = MatrixView<T>(&tblk(0, j), j, 1, tblk.ld());
-        blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit,
-                   T(1), tblk.sub(0, 0, j, j), tcol);
-      }
-      tblk(j, j) = tau[i + j];
-    }
-    // Block-apply Q^H to trailing columns. V2 for this panel is the
-    // trapezoid a2[0:i+sb, i:i+sb]: a dense i x sb block D on top of an
-    // upper triangular sb x sb block U.
-    if (i + sb < n) {
-      const std::int64_t nn = n - i - sb;
-      auto c1 = a1.sub(i, i + sb, sb, nn);
-      auto c2top = a2.sub(0, i + sb, i, nn);
-      auto c2mid = a2.sub(i, i + sb, sb, nn);
-      auto d = a2.sub(0, i, i, sb);
-      auto u = a2.sub(i, i, sb, sb);
-      MatrixView<T> w(work.data(), sb, nn, sb);
-      copy(ConstMatrixView<T>(c1), w);
-      if (i > 0)
-        blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), ConstMatrixView<T>(d),
-                   ConstMatrixView<T>(c2top), T(1), w);
-      blas::trmm_acc(blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit, T(1),
-                     ConstMatrixView<T>(u), ConstMatrixView<T>(c2mid), w);
-      blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit,
-                 T(1), ConstMatrixView<T>(tblk), w);
-      blas::add(T(-1), ConstMatrixView<T>(w), c1);
-      if (i > 0)
-        blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), ConstMatrixView<T>(d),
-                   ConstMatrixView<T>(w), T(1), c2top);
-      blas::trmm_acc(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(-1),
-                     ConstMatrixView<T>(u), ConstMatrixView<T>(w), c2mid);
-    }
-  }
+  detail::tpqrt(detail::Tails::Trapezoid, ib, a1, a2, t);
 }
 
 // ---------------------------------------------------------------------------
 // TTMQR: applies a TTQRT transformation (v2 = zeroed tile holding the upper
 // trapezoidal reflector tails in its upper triangle) to the pair [a1; a2].
 template <typename T>
-void ttmqr(ApplyTrans trans, int ib, ConstMatrixView<T> v2, ConstMatrixView<T> t,
-           MatrixView<T> a1, MatrixView<T> a2) {
-  const std::int64_t k = v2.cols();
-  const std::int64_t nn = a1.cols();
-  TILEDQR_CHECK(a2.cols() == nn, "ttmqr: shape mismatch");
-  detail::WorkVec<T> work(size_t(ib) * size_t(nn));
-
-  for (std::int64_t i : detail::block_starts(k, ib, trans)) {
-    const std::int64_t sb = std::min<std::int64_t>(ib, k - i);
-    auto d = v2.sub(0, i, i, sb);
-    auto u = v2.sub(i, i, sb, sb);
-    auto tblk = t.sub(0, i, sb, sb);
-    auto c1 = a1.sub(i, 0, sb, nn);
-    auto c2top = a2.sub(0, 0, i, nn);
-    auto c2mid = a2.sub(i, 0, sb, nn);
-    MatrixView<T> w(work.data(), sb, nn, sb);
-    copy(ConstMatrixView<T>(c1), w);
-    if (i > 0)
-      blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), d, ConstMatrixView<T>(c2top),
-                 T(1), w);
-    blas::trmm_acc(blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit, T(1), u,
-                   ConstMatrixView<T>(c2mid), w);
-    blas::trmm(blas::Side::Left, blas::Uplo::Upper,
-               trans == ApplyTrans::ConjTrans ? blas::Op::ConjTrans : blas::Op::NoTrans,
-               blas::Diag::NonUnit, T(1), tblk, w);
-    blas::add(T(-1), ConstMatrixView<T>(w), c1);
-    if (i > 0)
-      blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), d, ConstMatrixView<T>(w), T(1),
-                 c2top);
-    blas::trmm_acc(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(-1), u,
-                   ConstMatrixView<T>(w), c2mid);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Convenience overloads accepting mutable views for read-only arguments
-// (template deduction does not consider the MatrixView -> ConstMatrixView
-// conversion).
-template <typename T>
-void unmqr(ApplyTrans trans, int ib, MatrixView<T> v, MatrixView<T> t, MatrixView<T> c) {
-  unmqr(trans, ib, ConstMatrixView<T>(v), ConstMatrixView<T>(t), c);
-}
-template <typename T>
-void tsmqr(ApplyTrans trans, int ib, MatrixView<T> v2, MatrixView<T> t, MatrixView<T> a1,
-           MatrixView<T> a2) {
-  tsmqr(trans, ib, ConstMatrixView<T>(v2), ConstMatrixView<T>(t), a1, a2);
-}
-template <typename T>
-void ttmqr(ApplyTrans trans, int ib, MatrixView<T> v2, MatrixView<T> t, MatrixView<T> a1,
-           MatrixView<T> a2) {
-  ttmqr(trans, ib, ConstMatrixView<T>(v2), ConstMatrixView<T>(t), a1, a2);
+void ttmqr(ApplyTrans trans, int ib, ConstMatrixView<std::type_identity_t<T>> v2,
+           ConstMatrixView<std::type_identity_t<T>> t, MatrixView<T> a1, MatrixView<T> a2) {
+  detail::tpmqr(detail::Tails::Trapezoid, trans, ib, v2, t, a1, a2);
 }
 
 }  // namespace tiledqr::kernels

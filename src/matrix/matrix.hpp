@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -73,16 +74,11 @@ class Matrix {
 
 /// Copies `src` into `dst`; shapes must match.
 template <typename T>
-void copy(ConstMatrixView<T> src, MatrixView<T> dst) {
+void copy(ConstMatrixView<std::type_identity_t<T>> src, MatrixView<T> dst) {
   TILEDQR_CHECK(src.rows() == dst.rows() && src.cols() == dst.cols(),
                 "copy: shape mismatch");
   for (std::int64_t j = 0; j < src.cols(); ++j)
     for (std::int64_t i = 0; i < src.rows(); ++i) dst(i, j) = src(i, j);
-}
-
-template <typename T>
-inline void copy(MatrixView<T> src, MatrixView<T> dst) {
-  copy(ConstMatrixView<T>(src), dst);
 }
 
 }  // namespace tiledqr

@@ -264,7 +264,14 @@ ThreadPool::ThreadPool(int threads) {
   workers_.reserve(size_t(threads));
   for (int w = 0; w < threads; ++w) workers_.push_back(std::make_unique<Worker>());
   threads_.reserve(size_t(threads));
-  for (int w = 0; w < threads; ++w) threads_.emplace_back([this, w] { worker_main(w); });
+  // Return only once every worker has named its trace track, so a trace
+  // exported right after construction already lists all of them. The
+  // workers share the latch: wait() can return while the last count_down()
+  // is still notifying.
+  auto named = std::make_shared<std::latch>(threads);
+  for (int w = 0; w < threads; ++w)
+    threads_.emplace_back([this, w, named] { worker_main(w, *named); });
+  named->wait();
   // Registered after the workers exist: a snapshot taken from another thread
   // must never observe the pool half-constructed.
   metrics_source_ = obs::MetricsRegistry::global().register_source(
@@ -664,11 +671,12 @@ void ThreadPool::wait_stream(const std::shared_ptr<Submission>& sub, long up_to_
 
 // ----------------------------------------------------------------- workers --
 
-void ThreadPool::worker_main(int wid) {
+void ThreadPool::worker_main(int wid, std::latch& named) {
   tl_pool = this;
   tl_worker = wid;
   if (pin_workers_) pin_to_core(wid);
   g_tracer.set_thread_track_name(label_ + ".w" + std::to_string(wid));
+  named.count_down();
   for (;;) {
     const long epoch = epoch_.load(std::memory_order_seq_cst);
     if (try_run_one(wid)) continue;

@@ -63,6 +63,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -287,7 +288,9 @@ class ThreadPool {
   /// the epoch/cv machinery when none is admissible) until `done()` holds.
   template <typename Pred>
   void help_until(Pred done);
-  void worker_main(int wid);
+  /// Worker loop; counts `named` down once the thread has named its trace
+  /// track.
+  void worker_main(int wid, std::latch& named);
   bool try_run_one(int wid);
   void run_item(int wid, Item item, bool stolen);
   void signal_work();

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstring>
+#include <functional>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "kernels/kernels.hpp"
 #include "kernels/reference_qr.hpp"
@@ -233,8 +237,27 @@ TEST(KernelMeta, NamesAndFlops) {
 }
 
 TEST(KernelChecks, BadIbThrows) {
-  Matrix<double> a(4, 4), t(2, 4);
-  EXPECT_THROW(kernels::geqrt(0, a.view(), t.view()), Error);
+  // Every kernel rejects ib < 1 before it allocates: a loop over
+  // zero-width blocks would never end.
+  Matrix<double> a(4, 4), b(4, 4), c1(4, 4), c2(4, 4), t(2, 4);
+  for (int ib : {0, -1}) {
+    SCOPED_TRACE(ib);
+    EXPECT_THROW(kernels::geqrt(ib, a.view(), t.view()), Error);
+    EXPECT_THROW(kernels::unmqr(ApplyTrans::ConjTrans, ib, a.view(), t.view(), c1.view()), Error);
+    EXPECT_THROW(kernels::tsqrt(ib, a.view(), b.view(), t.view()), Error);
+    EXPECT_THROW(
+        kernels::tsmqr(ApplyTrans::NoTrans, ib, b.view(), t.view(), c1.view(), c2.view()), Error);
+    EXPECT_THROW(kernels::ttqrt(ib, a.view(), b.view(), t.view()), Error);
+    EXPECT_THROW(
+        kernels::ttmqr(ApplyTrans::NoTrans, ib, b.view(), t.view(), c1.view(), c2.view()), Error);
+    EXPECT_THROW(kernels::unmlq(ApplyTrans::ConjTrans, ib, a.view(), t.view(), c1.view()), Error);
+    EXPECT_THROW(
+        kernels::tsmlq(ApplyTrans::ConjTrans, ib, b.view(), t.view(), c1.view(), c2.view()),
+        Error);
+    EXPECT_THROW(
+        kernels::ttmlq(ApplyTrans::ConjTrans, ib, b.view(), t.view(), c1.view(), c2.view()),
+        Error);
+  }
 }
 
 TEST(KernelChecks, TsqrtRejectsUndersizedR1) {
@@ -243,6 +266,49 @@ TEST(KernelChecks, TsqrtRejectsUndersizedR1) {
   // shape through to read past a1's rows.
   Matrix<double> a1(2, 4), a2(4, 4), t(2, 4);
   EXPECT_THROW(kernels::tsqrt(2, a1.view(), a2.view(), t.view()), Error);
+}
+
+TEST(KernelChecks, TsTtKernelsRejectUndersizedOperandsBeforeWriting) {
+  // n = k = 4 reflectors at ib = 2, each case with one operand too small:
+  // TTQRT's a1 or a2 (fewer than n rows), TSMQR's or TTMQR's a1 (fewer than
+  // k rows), or t (smaller than min(ib, k) x k). A kernel must reject the
+  // call before it writes anything: a check made panel by panel leaves the
+  // operands half-updated, and a missing one writes past the short operand.
+  using Ops = std::vector<Matrix<double>>;
+  using Kernel = std::function<void(Ops&)>;
+  const Kernel ttqrt = [](Ops& o) { kernels::ttqrt(2, o[0].view(), o[1].view(), o[2].view()); };
+  const Kernel tsqrt = [](Ops& o) { kernels::tsqrt(2, o[0].view(), o[1].view(), o[2].view()); };
+  const Kernel tsmqr = [](Ops& o) {
+    kernels::tsmqr(ApplyTrans::ConjTrans, 2, o[0].view(), o[1].view(), o[2].view(), o[3].view());
+  };
+  const Kernel ttmqr = [](Ops& o) {
+    kernels::ttmqr(ApplyTrans::ConjTrans, 2, o[0].view(), o[1].view(), o[2].view(), o[3].view());
+  };
+  auto r = [](std::int64_t m, std::int64_t n, std::uint64_t seed) {
+    return random_matrix<double>(m, n, seed);
+  };
+  // Operands in call order: (a1, a2, t) or (v2, t, a1, a2).
+  const std::vector<std::pair<Kernel, Ops>> cases = {
+      {ttqrt, {r(3, 4, 1), r(4, 4, 2), r(2, 4, 3)}},              // short a1
+      {ttqrt, {r(4, 4, 1), r(3, 4, 2), r(2, 4, 3)}},              // short a2
+      {tsmqr, {r(4, 4, 1), r(2, 4, 2), r(3, 4, 3), r(4, 4, 4)}},  // short a1
+      {ttmqr, {r(4, 4, 1), r(2, 4, 2), r(3, 4, 3), r(4, 4, 4)}},  // short a1
+      {tsqrt, {r(4, 4, 1), r(4, 4, 2), r(1, 4, 3)}},              // t with 1 < ib rows
+      {ttqrt, {r(4, 4, 1), r(4, 4, 2), r(2, 3, 3)}},              // t with 3 < k columns
+      {tsmqr, {r(4, 4, 1), r(2, 3, 2), r(4, 4, 3), r(4, 4, 4)}},  // t with 3 < k columns
+      {ttmqr, {r(4, 4, 1), r(2, 3, 2), r(4, 4, 3), r(4, 4, 4)}},  // t with 3 < k columns
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE(c);
+    Ops ops = cases[c].second;
+    EXPECT_THROW(cases[c].first(ops), Error);
+    for (size_t o = 0; o < ops.size(); ++o) {
+      const Matrix<double>& before = cases[c].second[o];
+      EXPECT_EQ(0, std::memcmp(ops[o].data(), before.data(),
+                               sizeof(double) * size_t(before.rows() * before.cols())))
+          << "operand " << o << " was written before the throw";
+    }
+  }
 }
 
 }  // namespace
