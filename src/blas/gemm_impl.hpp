@@ -1,9 +1,10 @@
 // gemm / gemv / ger implementations.
 //
 // For real scalars the NN and (Conj)Trans x NoTrans paths — the hot loops of
-// the update kernels — dispatch to the runtime-selected SIMD microkernels
-// (blas/simd/simd.hpp: register-blocked, packed, FMA where the host has it).
-// Complex scalars keep the generic loops: the NoTrans x NoTrans path
+// the update kernels — dispatch to the runtime-selected SIMD table
+// (blas/simd/simd.hpp). On the vector tiers both run one packed,
+// register-blocked GEMM body (op(A) packed into row panels, FMA where the host
+// has it). Complex scalars keep the generic loops: the NoTrans x NoTrans path
 // processes four result columns per sweep over A so each A column is loaded
 // once per four C columns; the inner loops are stride-1 and auto-vectorize.
 #pragma once
@@ -62,13 +63,13 @@ void gemm_nn(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> 
 
 template <typename T>
 void gemm_tn(Op opa, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> c) {
-  // c(i,j) += alpha * sum_l op(a(l,i)) * b(l,j); dot products over contiguous
-  // columns of A and B.
+  // c(i,j) += alpha * sum_l op(a(l,i)) * b(l,j).
   const std::int64_t m = c.rows();
   const std::int64_t n = c.cols();
   const std::int64_t k = a.rows();
   // For real scalars Trans and ConjTrans coincide, so every transposed-A
-  // path can take the vectorized dot-product microkernel.
+  // path takes the table's transposed GEMM (packed A^T on the vector tiers).
+  // Complex scalars keep dot products over contiguous columns of A and B.
   if constexpr (std::is_same_v<T, double>) {
     simd::ops().dgemm_tn(m, n, k, alpha, a.data(), a.ld(), b.data(), b.ld(), c.data(), c.ld());
     return;

@@ -42,7 +42,8 @@ struct Ops {
   float (*sdot)(std::int64_t n, const float* x, const float* y) noexcept;
 
   /// C(m x n) += alpha * A(m x k) * B(k x n); register-blocked with
-  /// cache-blocked packing of A into row panels.
+  /// cache-blocked packing of A into row panels. The vector tiers run this
+  /// and dgemm_tn through one packed body.
   void (*dgemm_nn)(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
                    const double* a, std::int64_t lda, const double* b, std::int64_t ldb,
                    double* c, std::int64_t ldc);
@@ -50,8 +51,9 @@ struct Ops {
                    const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
                    float* c, std::int64_t ldc);
 
-  /// C(m x n) += alpha * A(k x m)^T * B(k x n): dot-product shaped, the
-  /// V^H C phase of the block reflectors.
+  /// C(m x n) += alpha * A(k x m)^T * B(k x n), the V^H C phase of the block
+  /// reflectors; the vector tiers pack A^T into the same row panels as
+  /// dgemm_nn and run the same microkernels.
   void (*dgemm_tn)(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
                    const double* a, std::int64_t lda, const double* b, std::int64_t ldb,
                    double* c, std::int64_t ldc);

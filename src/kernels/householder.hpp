@@ -35,7 +35,15 @@ void larfg(T& alpha, T* x, std::int64_t n, T& tau) {
     return;
   }
 
-  auto lapy = [](R a, R b, R c) { return std::sqrt(a * a + b * b + c * c); };
+  // sqrt(a^2 + b^2 + c^2): the unscaled sum inside nrm2's band, the scaled
+  // std::hypot outside it, where the squares overflow (a column norm above
+  // about 1e154) or lose bits to underflow.
+  auto lapy = [](R a, R b, R c) {
+    constexpr R tsml = std::numeric_limits<R>::min() / std::numeric_limits<R>::epsilon();
+    constexpr R tbig = std::numeric_limits<R>::max() * std::numeric_limits<R>::epsilon();
+    const R ssq = a * a + b * b + c * c;
+    return ssq > tsml && ssq < tbig ? std::sqrt(ssq) : std::hypot(a, b, c);
+  };
   R beta = -std::copysign(lapy(alphr, alphi, xnorm), alphr);
 
   const R safmin = std::numeric_limits<R>::min() / std::numeric_limits<R>::epsilon();

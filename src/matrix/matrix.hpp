@@ -30,11 +30,11 @@ class Matrix {
   [[nodiscard]] T* data() noexcept { return data_.data(); }
   [[nodiscard]] const T* data() const noexcept { return data_.data(); }
 
-  T& operator()(std::int64_t i, std::int64_t j) noexcept {
+  T& operator()(std::int64_t i, std::int64_t j) {
     TILEDQR_ASSERT(i >= 0 && i < rows_ && j >= 0 && j < cols_);
     return data_[size_t(i) + size_t(j) * size_t(rows_)];
   }
-  const T& operator()(std::int64_t i, std::int64_t j) const noexcept {
+  const T& operator()(std::int64_t i, std::int64_t j) const {
     TILEDQR_ASSERT(i >= 0 && i < rows_ && j >= 0 && j < cols_);
     return data_[size_t(i) + size_t(j) * size_t(rows_)];
   }

@@ -26,7 +26,7 @@ class MatrixView {
   [[nodiscard]] T* data() const noexcept { return data_; }
   [[nodiscard]] bool empty() const noexcept { return rows_ == 0 || cols_ == 0; }
 
-  T& operator()(std::int64_t i, std::int64_t j) const noexcept {
+  T& operator()(std::int64_t i, std::int64_t j) const {
     TILEDQR_ASSERT(i >= 0 && i < rows_ && j >= 0 && j < cols_);
     return data_[i + j * ld_];
   }
@@ -67,7 +67,7 @@ class ConstMatrixView {
   [[nodiscard]] const T* data() const noexcept { return data_; }
   [[nodiscard]] bool empty() const noexcept { return rows_ == 0 || cols_ == 0; }
 
-  const T& operator()(std::int64_t i, std::int64_t j) const noexcept {
+  const T& operator()(std::int64_t i, std::int64_t j) const {
     TILEDQR_ASSERT(i >= 0 && i < rows_ && j >= 0 && j < cols_);
     return data_[i + j * ld_];
   }

@@ -9,37 +9,43 @@
 
 namespace tiledqr {
 
+namespace detail {
+
+/// Frobenius norm of f(i, j) over a rows x cols grid, two-pass scaled: the
+/// largest |entry| first, then the sum of squares of the entries divided by
+/// it. Squaring unscaled entries overflows above about 1e154 and underflows
+/// to 0 below about 1e-154.
+template <typename T, typename F>
+[[nodiscard]] RealType<T> scaled_frobenius(std::int64_t rows, std::int64_t cols, F f) {
+  using R = RealType<T>;
+  R scale = 0;
+  for (std::int64_t j = 0; j < cols; ++j)
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const R v = std::abs(f(i, j));  // |x| without squaring
+      if (v > scale || std::isnan(v)) scale = v;  // a NaN sticks
+    }
+  if (scale == R(0) || !std::isfinite(scale)) return scale;
+  R sum = 0;
+  for (std::int64_t j = 0; j < cols; ++j)
+    for (std::int64_t i = 0; i < rows; ++i) sum += ScalarTraits<T>::abs_sq(f(i, j) / scale);
+  return scale * std::sqrt(sum);
+}
+
+}  // namespace detail
+
 /// Frobenius norm.
 template <typename T>
 [[nodiscard]] RealType<T> frobenius_norm(ConstMatrixView<T> a) {
-  // Two-pass scaled accumulation to avoid overflow for large well-scaled data.
-  RealType<T> sum = 0;
-  for (std::int64_t j = 0; j < a.cols(); ++j)
-    for (std::int64_t i = 0; i < a.rows(); ++i) sum += ScalarTraits<T>::abs_sq(a(i, j));
-  return std::sqrt(sum);
-}
-
-/// Max-absolute-entry norm.
-template <typename T>
-[[nodiscard]] RealType<T> max_norm(ConstMatrixView<T> a) {
-  RealType<T> mx = 0;
-  for (std::int64_t j = 0; j < a.cols(); ++j)
-    for (std::int64_t i = 0; i < a.rows(); ++i)
-      mx = std::max(mx, RealType<T>(std::sqrt(ScalarTraits<T>::abs_sq(a(i, j)))));
-  return mx;
+  return detail::scaled_frobenius<T>(a.rows(), a.cols(),
+                                     [&](std::int64_t i, std::int64_t j) { return a(i, j); });
 }
 
 /// Frobenius norm of (a - b); shapes must match.
 template <typename T>
 [[nodiscard]] RealType<T> difference_norm(ConstMatrixView<T> a, ConstMatrixView<T> b) {
   TILEDQR_CHECK(a.rows() == b.rows() && a.cols() == b.cols(), "difference_norm: shape mismatch");
-  RealType<T> sum = 0;
-  for (std::int64_t j = 0; j < a.cols(); ++j)
-    for (std::int64_t i = 0; i < a.rows(); ++i) {
-      T d = a(i, j) - b(i, j);
-      sum += ScalarTraits<T>::abs_sq(d);
-    }
-  return std::sqrt(sum);
+  return detail::scaled_frobenius<T>(
+      a.rows(), a.cols(), [&](std::int64_t i, std::int64_t j) { return T(a(i, j) - b(i, j)); });
 }
 
 /// Frobenius distance of a^H a (or a a^H) from the identity: the Gram

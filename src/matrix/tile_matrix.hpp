@@ -47,11 +47,11 @@ class TileMatrix {
   [[nodiscard]] int w() const noexcept { return w_; }
 
   /// View of tile (i, j); always nb x w.
-  [[nodiscard]] MatrixView<T> tile(int i, int j) noexcept {
+  [[nodiscard]] MatrixView<T> tile(int i, int j) {
     TILEDQR_ASSERT(i >= 0 && i < mt_ && j >= 0 && j < nt_);
     return MatrixView<T>(tile_data(i, j), nb_, w_, nb_);
   }
-  [[nodiscard]] ConstMatrixView<T> tile(int i, int j) const noexcept {
+  [[nodiscard]] ConstMatrixView<T> tile(int i, int j) const {
     TILEDQR_ASSERT(i >= 0 && i < mt_ && j >= 0 && j < nt_);
     return ConstMatrixView<T>(tile_data(i, j), nb_, w_, nb_);
   }

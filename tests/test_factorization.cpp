@@ -3,8 +3,12 @@
 // ||A - QR|| / ||A||, Q^H Q = I, R upper triangular, and determinism.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <string>
+#include <utility>
 
+#include "blas/simd/simd.hpp"
 #include "core/tiled_qr.hpp"
 #include "kernels/reference_qr.hpp"
 #include "matrix/generate.hpp"
@@ -176,6 +180,50 @@ TEST(Factorization, FloatPrecision) {
   auto qr = TiledQr<float>::factorize(a.view(), opt);
   auto q = qr.q_thin();
   EXPECT_LE(double(orthogonality_error<float>(q.view())), 1e-4);
+}
+
+TEST(Factorization, HardInputsKeepBoundsOnEveryTier) {
+  // Graded columns (1 down to 1e-12) and entries scaled near overflow
+  // (2^600) and underflow (2^-600): every SIMD tier's summation order must
+  // keep the residual and orthogonality bounds.
+  namespace simd = blas::simd;
+  struct TierRestore {
+    simd::Tier saved = simd::active_tier();
+    ~TierRestore() { simd::set_tier(saved); }
+  } restore;
+  struct Shape {
+    std::int64_t m, n;
+    int nb, ib;
+  };
+  for (const Shape s : {Shape{192, 96, 24, 5}, Shape{512, 256, 128, 32}}) {
+    auto graded = random_matrix<double>(s.m, s.n, 29);
+    auto big = random_matrix<double>(s.m, s.n, 31);
+    auto tiny = random_matrix<double>(s.m, s.n, 37);
+    for (std::int64_t j = 0; j < s.n; ++j) {
+      const double g = std::pow(1e-12, double(j) / double(s.n - 1));
+      for (std::int64_t i = 0; i < s.m; ++i) {
+        graded(i, j) *= g;
+        big(i, j) = std::ldexp(big(i, j), 600);
+        tiny(i, j) = std::ldexp(tiny(i, j), -600);
+      }
+    }
+    Options opt;
+    opt.nb = s.nb;
+    opt.ib = s.ib;
+    for (simd::Tier tier : simd::available_tiers()) {
+      ASSERT_TRUE(simd::set_tier(tier));
+      for (const auto& [label, a] : {std::pair{"graded", &graded}, std::pair{"2^600", &big},
+                                     std::pair{"2^-600", &tiny}}) {
+        auto qr = TiledQr<double>::factorize(a->view(), opt);
+        const std::string where = std::string(simd::tier_name(tier)) + " " + label + " " +
+                                  std::to_string(s.m) + "x" + std::to_string(s.n);
+        EXPECT_LE(factorization_residual(*a, qr), Tolerance<double>::value) << where;
+        auto q = qr.q_thin();
+        EXPECT_LE(double(orthogonality_error<double>(q.view())), Tolerance<double>::value)
+            << where;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <complex>
 #include <string>
 
@@ -130,6 +131,32 @@ TEST(Norms, BelowDiagonalMax) {
   EXPECT_DOUBLE_EQ(below_diagonal_max<double>(a.view()), 2.5);
 }
 
+TEST(Norms, ScaledNearOverflowAndUnderflow) {
+  // Squaring entries of about 1e+-200 unscaled overflows to Inf or underflows
+  // to 0; both norms must scale first.
+  for (double s : {1e200, 1e-200}) {
+    Matrix<double> a(2, 2), b(2, 2);
+    a(0, 0) = 3 * s;
+    a(1, 1) = 4 * s;
+    b(1, 1) = -8 * s;
+    EXPECT_NEAR(frobenius_norm<double>(a.view()) / (5 * s), 1.0, 1e-14) << s;
+    EXPECT_NEAR(difference_norm<double>(a.view(), b.view()) / (std::sqrt(153.0) * s), 1.0,
+                1e-14)
+        << s;
+    Matrix<std::complex<double>> c(1, 2), z(1, 2);
+    c(0, 0) = {3 * s, 4 * s};
+    c(0, 1) = {0, 12 * s};
+    EXPECT_NEAR(frobenius_norm<std::complex<double>>(c.view()) / (13 * s), 1.0, 1e-14) << s;
+    EXPECT_NEAR(difference_norm<std::complex<double>>(c.view(), z.view()) / (13 * s), 1.0,
+                1e-14)
+        << s;
+  }
+  // A NaN entry still poisons the norm.
+  Matrix<double> n(2, 2);
+  n(1, 0) = std::nan("");
+  EXPECT_TRUE(std::isnan(frobenius_norm<double>(n.view())));
+}
+
 TEST(Generate, Deterministic) {
   auto a = random_matrix<double>(4, 4, 42);
   auto b = random_matrix<double>(4, 4, 42);
@@ -151,6 +178,23 @@ TEST(MatrixChecks, InvalidDimensionsThrow) {
   const auto two_cols = random_matrix<double>(5, 2, 1);
   EXPECT_THROW((void)TileMatrix<double>::operand(no_cols.view(), 4), Error);
   EXPECT_THROW((void)TileMatrix<double>::operand(two_cols.view(), 0), Error);
+}
+
+TEST(MatrixChecks, OutOfRangeAccessorsThrow) {
+#if defined(TILEDQR_ENABLE_ASSERTS) || !defined(NDEBUG)
+  Matrix<double> a(3, 2);
+  const Matrix<double>& ca = a;
+  EXPECT_THROW((void)a(3, 0), Error);
+  EXPECT_THROW((void)ca(0, 2), Error);
+  EXPECT_THROW((void)a.view()(-1, 0), Error);
+  EXPECT_THROW((void)ca.view()(0, -1), Error);
+  TileMatrix<double> t(8, 8, 4);
+  const TileMatrix<double>& ct = t;
+  EXPECT_THROW((void)t.tile(2, 0), Error);
+  EXPECT_THROW((void)ct.tile(0, -1), Error);
+#else
+  GTEST_SKIP() << "TILEDQR_ASSERT compiles out in this build";
+#endif
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 //     scalar baseline, within an accumulation-order tolerance (vector tiers
 //     use FMA contraction and multi-accumulator reductions, so bitwise
 //     equality across tiers is not promised). Shapes deliberately straddle
-//     register-block boundaries to exercise remainder paths.
+//     register-block boundaries to exercise remainder paths. The GEMM is
+//     also run on every tier, scalar included, on interior views (ld > rows)
+//     against a naive triple loop.
 //   - Determinism: within one tier, repeated runs are bitwise identical —
 //     each tier fixes its lane layout and reduction order.
 //
@@ -102,6 +104,54 @@ double rel_tol() {
   return sizeof(T) == 4 ? 5e-5 : 1e-13;
 }
 
+/// A copy of `src` in the interior of a larger matrix whose border cells hold
+/// a sentinel, so the view's ld exceeds its row count, as it does for the
+/// sub-views of nb-row tiles that the kernels pass.
+template <typename T>
+class Bordered {
+ public:
+  static constexpr std::int64_t kPad = 3;
+  static constexpr T kSentinel = T(-777.25);
+
+  explicit Bordered(const Matrix<T>& src)
+      : rows_(src.rows()), cols_(src.cols()), full_(rows_ + 2 * kPad + 1, cols_ + 2 * kPad) {
+    for (std::int64_t j = 0; j < full_.cols(); ++j)
+      for (std::int64_t i = 0; i < full_.rows(); ++i) full_(i, j) = kSentinel;
+    copy(src.view(), view());
+  }
+
+  MatrixView<T> view() { return full_.view().sub(kPad, kPad, rows_, cols_); }
+
+  /// Whether every cell outside the view still holds the sentinel.
+  [[nodiscard]] bool border_intact() const {
+    for (std::int64_t j = 0; j < full_.cols(); ++j)
+      for (std::int64_t i = 0; i < full_.rows(); ++i) {
+        const bool inside = i >= kPad && i < kPad + rows_ && j >= kPad && j < kPad + cols_;
+        if (!inside && full_(i, j) != kSentinel) return false;
+      }
+    return true;
+  }
+
+ private:
+  std::int64_t rows_, cols_;
+  Matrix<T> full_;
+};
+
+/// C0 + alpha * op(A) * B by a triple loop accumulated in double.
+template <typename T>
+Matrix<T> naive_gemm(blas::Op opa, T alpha, const Matrix<T>& a, const Matrix<T>& b,
+                     const Matrix<T>& c0) {
+  Matrix<T> c(c0.rows(), c0.cols());
+  for (std::int64_t j = 0; j < c.cols(); ++j)
+    for (std::int64_t i = 0; i < c.rows(); ++i) {
+      double acc = 0;
+      for (std::int64_t l = 0; l < b.rows(); ++l)
+        acc += double(opa == blas::Op::NoTrans ? a(i, l) : a(l, i)) * double(b(l, j));
+      c(i, j) = T(double(c0(i, j)) + double(alpha) * acc);
+    }
+  return c;
+}
+
 template <typename T>
 void check_gemm_equivalence(blas::Op opa) {
   TierGuard guard;
@@ -124,6 +174,20 @@ void check_gemm_equivalence(blas::Op opa) {
       blas::gemm(opa, blas::Op::NoTrans, T(1.5), a.view(), b.view(), T(1), c.view());
       EXPECT_LE(double(difference_norm<T>(ref.view(), c.view())) / scale, rel_tol<T>())
           << simd::tier_name(t) << " m=" << s.m << " n=" << s.n << " k=" << s.k;
+    }
+
+    // Strided variant on every tier, scalar included: interior views with
+    // ld > rows, checked against the triple loop, borders untouched.
+    const auto naive = naive_gemm(opa, T(1.5), a, b, c0);
+    for (simd::Tier t : simd::available_tiers()) {
+      ASSERT_TRUE(simd::set_tier(t));
+      Bordered<T> ab(a), bb(b), cb(c0);
+      blas::gemm(opa, blas::Op::NoTrans, T(1.5), ConstMatrixView<T>(ab.view()),
+                 ConstMatrixView<T>(bb.view()), T(1), cb.view());
+      EXPECT_LE(double(difference_norm<T>(naive.view(), cb.view())) / scale, rel_tol<T>())
+          << "strided " << simd::tier_name(t) << " m=" << s.m << " n=" << s.n << " k=" << s.k;
+      EXPECT_TRUE(ab.border_intact() && bb.border_intact() && cb.border_intact())
+          << "strided " << simd::tier_name(t) << " m=" << s.m << " n=" << s.n << " k=" << s.k;
     }
   }
 }
