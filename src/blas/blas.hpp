@@ -21,7 +21,6 @@ namespace tiledqr::blas {
 /// ConjTrans and Trans coincide.
 enum class Op { NoTrans, Trans, ConjTrans };
 
-enum class Side { Left, Right };
 enum class Uplo { Upper, Lower };
 enum class Diag { NonUnit, Unit };
 
@@ -43,11 +42,10 @@ template <typename T>
 void gemm(Op opa, Op opb, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
           ConstMatrixView<std::type_identity_t<T>> b, T beta, MatrixView<T> c);
 
-/// B := alpha * op(A) * B (Side::Left) or alpha * B * op(A) (Side::Right),
-/// with A triangular.
+/// B := alpha * op(A) * B with A triangular.
 template <typename T>
-void trmm(Side side, Uplo uplo, Op opa, Diag diag, T alpha,
-          ConstMatrixView<std::type_identity_t<T>> a, MatrixView<T> b);
+void trmm(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
+          MatrixView<T> b);
 
 /// C := C + alpha * op(A) * B with A triangular (multiply-accumulate variant
 /// used by the TT kernels to exploit triangular structure).
@@ -55,11 +53,10 @@ template <typename T>
 void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
               ConstMatrixView<std::type_identity_t<T>> b, MatrixView<T> c);
 
-/// Solves op(A) * X = alpha * B (Side::Left) or X * op(A) = alpha * B
-/// (Side::Right) with A triangular; X overwrites B.
+/// Solves op(A) * X = alpha * B with A triangular; X overwrites B.
 template <typename T>
-void trsm(Side side, Uplo uplo, Op opa, Diag diag, T alpha,
-          ConstMatrixView<std::type_identity_t<T>> a, MatrixView<T> b);
+void trsm(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
+          MatrixView<T> b);
 
 /// y := alpha * op(A) * x + beta * y (contiguous vectors).
 template <typename T>
@@ -72,14 +69,6 @@ void ger(T alpha, const T* x, const T* y, MatrixView<T> a);
 /// C := C + alpha * B (same shapes).
 template <typename T>
 void add(T alpha, ConstMatrixView<std::type_identity_t<T>> b, MatrixView<T> c);
-
-/// B := alpha * B.
-template <typename T>
-void scale(T alpha, MatrixView<T> b);
-
-/// B := 0.
-template <typename T>
-void set_zero(MatrixView<T> b);
 
 // ---------------------------------------------------------------------------
 // Flop counting (complex counted as 1 multiply = 6 flops, 1 add = 2 flops via

@@ -214,17 +214,4 @@ void add(T alpha, ConstMatrixView<std::type_identity_t<T>> b, MatrixView<T> c) {
   for (std::int64_t j = 0; j < c.cols(); ++j) axpy(c.rows(), alpha, b.col(j), c.col(j));
 }
 
-template <typename T>
-void scale(T alpha, MatrixView<T> b) {
-  for (std::int64_t j = 0; j < b.cols(); ++j) scal(b.rows(), alpha, b.col(j));
-}
-
-template <typename T>
-void set_zero(MatrixView<T> b) {
-  for (std::int64_t j = 0; j < b.cols(); ++j) {
-    T* bj = b.col(j);
-    for (std::int64_t i = 0; i < b.rows(); ++i) bj[i] = T(0);
-  }
-}
-
 }  // namespace tiledqr::blas

@@ -1,8 +1,8 @@
 // Triangular multiply / solve implementations.
 //
-// The Side::Left multiplies — the T-factor and V1 applications inside every
-// block reflector — are written in axpy/dot form over contiguous column
-// segments of A, so they ride the same SIMD dispatch as the level-1 layer
+// The multiplies — the T-factor and V1 applications inside every block
+// reflector — are written in axpy/dot form over contiguous column segments
+// of A, so they ride the same SIMD dispatch as the level-1 layer
 // (blas/vector.hpp). For real scalars they additionally process four B
 // columns per sweep through the shared-x microkernels (gemv_t_acc/ger_acc):
 // every step reuses one A-column segment across all four B columns, which is
@@ -34,158 +34,134 @@ inline bool dotc_expressible(Op opa) {
 }  // namespace detail
 
 template <typename T>
-void trmm(Side side, Uplo uplo, Op opa, Diag diag, T alpha,
-          ConstMatrixView<std::type_identity_t<T>> a, MatrixView<T> b) {
+void trmm(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
+          MatrixView<T> b) {
   const std::int64_t n = a.rows();
   TILEDQR_CHECK(a.rows() == a.cols(), "trmm: A must be square");
-  TILEDQR_CHECK(side == Side::Left ? b.rows() == n : b.cols() == n, "trmm: shape mismatch");
+  TILEDQR_CHECK(b.rows() == n, "trmm: shape mismatch");
 
   // Whether the operated matrix op(A) is effectively upper triangular.
   const bool op_upper = (uplo == Uplo::Upper) == (opa == Op::NoTrans);
 
-  if (side == Side::Left) {
-    std::int64_t j0 = 0;
-    if constexpr (!is_complex_v<T>) {
-      // Real scalars: four B columns per sweep, each step sharing one
-      // A-column segment across the four columns via the shared-x
-      // microkernels. Per column the update order over steps is unchanged.
-      const std::int64_t ldb = b.ld();
-      for (; j0 + 4 <= b.cols(); j0 += 4) {
-        T* b0 = b.col(j0);
-        if (op_upper) {
-          if (opa == Op::NoTrans) {
-            // b := U b, axpy form over column prefixes (see the per-column
-            // loop below); rank-1 prefix update shared across four columns.
-            for (std::int64_t l = 0; l < n; ++l) {
-              const T d = detail::tri_diag(a, diag, l, opa);
-              T coef[4] = {b0[l], b0[l + ldb], b0[l + 2 * ldb], b0[l + 3 * ldb]};
-              ger_acc(l, 4, T(1), a.col(l), coef, b0, ldb);
-              b0[l] = d * coef[0];
-              b0[l + ldb] = d * coef[1];
-              b0[l + 2 * ldb] = d * coef[2];
-              b0[l + 3 * ldb] = d * coef[3];
-            }
-            if (alpha != T(1))
-              for (int t = 0; t < 4; ++t) scal(n, alpha, b0 + t * ldb);
-          } else {
-            // op(A) upper with A lower: column-tail dots, four at a time.
-            for (std::int64_t i = 0; i < n; ++i) {
-              const T d = detail::tri_diag(a, diag, i, opa);
-              T acc[4] = {d * b0[i], d * b0[i + ldb], d * b0[i + 2 * ldb],
-                          d * b0[i + 3 * ldb]};
-              gemv_t_acc(n - i - 1, 4, T(1), b0 + i + 1, ldb, a.col(i) + i + 1, acc);
-              b0[i] = alpha * acc[0];
-              b0[i + ldb] = alpha * acc[1];
-              b0[i + 2 * ldb] = alpha * acc[2];
-              b0[i + 3 * ldb] = alpha * acc[3];
-            }
-          }
-        } else {
-          if (opa == Op::NoTrans) {
-            // b := L b, axpy form over column tails, descending.
-            for (std::int64_t l = n - 1; l >= 0; --l) {
-              const T d = detail::tri_diag(a, diag, l, opa);
-              T coef[4] = {b0[l], b0[l + ldb], b0[l + 2 * ldb], b0[l + 3 * ldb]};
-              ger_acc(n - l - 1, 4, T(1), a.col(l) + l + 1, coef, b0 + l + 1, ldb);
-              b0[l] = d * coef[0];
-              b0[l + ldb] = d * coef[1];
-              b0[l + 2 * ldb] = d * coef[2];
-              b0[l + 3 * ldb] = d * coef[3];
-            }
-            if (alpha != T(1))
-              for (int t = 0; t < 4; ++t) scal(n, alpha, b0 + t * ldb);
-          } else {
-            // op(A) lower with A upper: column-prefix dots, descending.
-            for (std::int64_t i = n - 1; i >= 0; --i) {
-              const T d = detail::tri_diag(a, diag, i, opa);
-              T acc[4] = {d * b0[i], d * b0[i + ldb], d * b0[i + 2 * ldb],
-                          d * b0[i + 3 * ldb]};
-              gemv_t_acc(i, 4, T(1), b0, ldb, a.col(i), acc);
-              b0[i] = alpha * acc[0];
-              b0[i + ldb] = alpha * acc[1];
-              b0[i + 2 * ldb] = alpha * acc[2];
-              b0[i + 3 * ldb] = alpha * acc[3];
-            }
-          }
-        }
-      }
-    }
-    for (std::int64_t j = j0; j < b.cols(); ++j) {
-      T* bj = b.col(j);
+  std::int64_t j0 = 0;
+  if constexpr (!is_complex_v<T>) {
+    // Real scalars: four B columns per sweep, each step sharing one
+    // A-column segment across the four columns via the shared-x
+    // microkernels. Per column the update order over steps is unchanged.
+    const std::int64_t ldb = b.ld();
+    for (; j0 + 4 <= b.cols(); j0 += 4) {
+      T* b0 = b.col(j0);
       if (op_upper) {
         if (opa == Op::NoTrans) {
-          // b := U b in axpy form over column prefixes of A: at step l, b[l]
-          // is still the pre-multiply value (steps l' < l only wrote indices
-          // <= l'), so it both seeds the axpy into rows [0, l) and collapses
-          // to the diagonal contribution afterwards.
+          // b := U b, axpy form over column prefixes (see the per-column
+          // loop below); rank-1 prefix update shared across four columns.
           for (std::int64_t l = 0; l < n; ++l) {
-            const T coef = bj[l];
-            axpy(l, coef, a.col(l), bj);
-            bj[l] = detail::tri_diag(a, diag, l, opa) * coef;
+            const T d = detail::tri_diag(a, diag, l, opa);
+            T coef[4] = {b0[l], b0[l + ldb], b0[l + 2 * ldb], b0[l + 3 * ldb]};
+            ger_acc(l, 4, T(1), a.col(l), coef, b0, ldb);
+            b0[l] = d * coef[0];
+            b0[l + ldb] = d * coef[1];
+            b0[l + 2 * ldb] = d * coef[2];
+            b0[l + 3 * ldb] = d * coef[3];
           }
-          if (alpha != T(1)) scal(n, alpha, bj);
-        } else if (detail::dotc_expressible<T>(opa)) {
-          // op(A) upper with A lower: column tails of A are contiguous dots.
-          // Tail addressed via col() pointer arithmetic — on the last column
-          // the tail is empty and &a(i + 1, i) would index past the view.
-          for (std::int64_t i = 0; i < n; ++i) {
-            T acc = detail::tri_diag(a, diag, i, opa) * bj[i] +
-                    dotc(n - i - 1, a.col(i) + i + 1, bj + i + 1);
-            bj[i] = alpha * acc;
-          }
+          if (alpha != T(1))
+            for (int t = 0; t < 4; ++t) scal(n, alpha, b0 + t * ldb);
         } else {
-          // new b_i depends on old b_l for l >= i: go top-down.
+          // op(A) upper with A lower: column-tail dots, four at a time.
           for (std::int64_t i = 0; i < n; ++i) {
-            T acc = detail::tri_diag(a, diag, i, opa) * bj[i];
-            for (std::int64_t l = i + 1; l < n; ++l) acc += detail::apply_op(opa, a(l, i)) * bj[l];
-            bj[i] = alpha * acc;
+            const T d = detail::tri_diag(a, diag, i, opa);
+            T acc[4] = {d * b0[i], d * b0[i + ldb], d * b0[i + 2 * ldb],
+                        d * b0[i + 3 * ldb]};
+            gemv_t_acc(n - i - 1, 4, T(1), b0 + i + 1, ldb, a.col(i) + i + 1, acc);
+            b0[i] = alpha * acc[0];
+            b0[i + ldb] = alpha * acc[1];
+            b0[i + 2 * ldb] = alpha * acc[2];
+            b0[i + 3 * ldb] = alpha * acc[3];
           }
         }
       } else {
         if (opa == Op::NoTrans) {
-          // b := L b in axpy form over column tails, descending so b[l] is
-          // still the pre-multiply value when it seeds step l.
+          // b := L b, axpy form over column tails, descending.
           for (std::int64_t l = n - 1; l >= 0; --l) {
-            const T coef = bj[l];
-            axpy(n - l - 1, coef, a.col(l) + l + 1, bj + l + 1);
-            bj[l] = detail::tri_diag(a, diag, l, opa) * coef;
+            const T d = detail::tri_diag(a, diag, l, opa);
+            T coef[4] = {b0[l], b0[l + ldb], b0[l + 2 * ldb], b0[l + 3 * ldb]};
+            ger_acc(n - l - 1, 4, T(1), a.col(l) + l + 1, coef, b0 + l + 1, ldb);
+            b0[l] = d * coef[0];
+            b0[l + ldb] = d * coef[1];
+            b0[l + 2 * ldb] = d * coef[2];
+            b0[l + 3 * ldb] = d * coef[3];
           }
-          if (alpha != T(1)) scal(n, alpha, bj);
-        } else if (detail::dotc_expressible<T>(opa)) {
-          // op(A) lower with A upper: column prefixes of A are contiguous.
-          for (std::int64_t i = n - 1; i >= 0; --i) {
-            T acc = detail::tri_diag(a, diag, i, opa) * bj[i] + dotc(i, a.col(i), bj);
-            bj[i] = alpha * acc;
-          }
+          if (alpha != T(1))
+            for (int t = 0; t < 4; ++t) scal(n, alpha, b0 + t * ldb);
         } else {
-          // new b_i depends on old b_l for l <= i: go bottom-up.
+          // op(A) lower with A upper: column-prefix dots, descending.
           for (std::int64_t i = n - 1; i >= 0; --i) {
-            T acc = detail::tri_diag(a, diag, i, opa) * bj[i];
-            for (std::int64_t l = 0; l < i; ++l) acc += detail::apply_op(opa, a(l, i)) * bj[l];
-            bj[i] = alpha * acc;
+            const T d = detail::tri_diag(a, diag, i, opa);
+            T acc[4] = {d * b0[i], d * b0[i + ldb], d * b0[i + 2 * ldb],
+                        d * b0[i + 3 * ldb]};
+            gemv_t_acc(i, 4, T(1), b0, ldb, a.col(i), acc);
+            b0[i] = alpha * acc[0];
+            b0[i + ldb] = alpha * acc[1];
+            b0[i + 2 * ldb] = alpha * acc[2];
+            b0[i + 3 * ldb] = alpha * acc[3];
           }
         }
       }
     }
-  } else {  // Side::Right: B := alpha * B * op(A)
+  }
+  for (std::int64_t j = j0; j < b.cols(); ++j) {
+    T* bj = b.col(j);
     if (op_upper) {
-      // new col j depends on old cols l <= j: go right-to-left.
-      for (std::int64_t j = n - 1; j >= 0; --j) {
-        T* bj = b.col(j);
-        scal(b.rows(), alpha * detail::tri_diag(a, diag, j, opa), bj);
-        for (std::int64_t l = 0; l < j; ++l) {
-          T coef = alpha * (opa == Op::NoTrans ? a(l, j) : detail::apply_op(opa, a(j, l)));
-          axpy(b.rows(), coef, b.col(l), bj);
+      if (opa == Op::NoTrans) {
+        // b := U b in axpy form over column prefixes of A: at step l, b[l]
+        // is still the pre-multiply value (steps l' < l only wrote indices
+        // <= l'), so it both seeds the axpy into rows [0, l) and collapses
+        // to the diagonal contribution afterwards.
+        for (std::int64_t l = 0; l < n; ++l) {
+          const T coef = bj[l];
+          axpy(l, coef, a.col(l), bj);
+          bj[l] = detail::tri_diag(a, diag, l, opa) * coef;
+        }
+        if (alpha != T(1)) scal(n, alpha, bj);
+      } else if (detail::dotc_expressible<T>(opa)) {
+        // op(A) upper with A lower: column tails of A are contiguous dots.
+        // Tail addressed via col() pointer arithmetic — on the last column
+        // the tail is empty and &a(i + 1, i) would index past the view.
+        for (std::int64_t i = 0; i < n; ++i) {
+          T acc = detail::tri_diag(a, diag, i, opa) * bj[i] +
+                  dotc(n - i - 1, a.col(i) + i + 1, bj + i + 1);
+          bj[i] = alpha * acc;
+        }
+      } else {
+        // new b_i depends on old b_l for l >= i: go top-down.
+        for (std::int64_t i = 0; i < n; ++i) {
+          T acc = detail::tri_diag(a, diag, i, opa) * bj[i];
+          for (std::int64_t l = i + 1; l < n; ++l) acc += detail::apply_op(opa, a(l, i)) * bj[l];
+          bj[i] = alpha * acc;
         }
       }
     } else {
-      // new col j depends on old cols l >= j: go left-to-right.
-      for (std::int64_t j = 0; j < n; ++j) {
-        T* bj = b.col(j);
-        scal(b.rows(), alpha * detail::tri_diag(a, diag, j, opa), bj);
-        for (std::int64_t l = j + 1; l < n; ++l) {
-          T coef = alpha * (opa == Op::NoTrans ? a(l, j) : detail::apply_op(opa, a(j, l)));
-          axpy(b.rows(), coef, b.col(l), bj);
+      if (opa == Op::NoTrans) {
+        // b := L b in axpy form over column tails, descending so b[l] is
+        // still the pre-multiply value when it seeds step l.
+        for (std::int64_t l = n - 1; l >= 0; --l) {
+          const T coef = bj[l];
+          axpy(n - l - 1, coef, a.col(l) + l + 1, bj + l + 1);
+          bj[l] = detail::tri_diag(a, diag, l, opa) * coef;
+        }
+        if (alpha != T(1)) scal(n, alpha, bj);
+      } else if (detail::dotc_expressible<T>(opa)) {
+        // op(A) lower with A upper: column prefixes of A are contiguous.
+        for (std::int64_t i = n - 1; i >= 0; --i) {
+          T acc = detail::tri_diag(a, diag, i, opa) * bj[i] + dotc(i, a.col(i), bj);
+          bj[i] = alpha * acc;
+        }
+      } else {
+        // new b_i depends on old b_l for l <= i: go bottom-up.
+        for (std::int64_t i = n - 1; i >= 0; --i) {
+          T acc = detail::tri_diag(a, diag, i, opa) * bj[i];
+          for (std::int64_t l = 0; l < i; ++l) acc += detail::apply_op(opa, a(l, i)) * bj[l];
+          bj[i] = alpha * acc;
         }
       }
     }
@@ -294,49 +270,31 @@ void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_i
 }
 
 template <typename T>
-void trsm(Side side, Uplo uplo, Op opa, Diag diag, T alpha,
-          ConstMatrixView<std::type_identity_t<T>> a, MatrixView<T> b) {
+void trsm(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
+          MatrixView<T> b) {
   const std::int64_t n = a.rows();
   TILEDQR_CHECK(a.rows() == a.cols(), "trsm: A must be square");
-  TILEDQR_CHECK(side == Side::Left ? b.rows() == n : b.cols() == n, "trsm: shape mismatch");
+  TILEDQR_CHECK(b.rows() == n, "trsm: shape mismatch");
   const bool op_upper = (uplo == Uplo::Upper) == (opa == Op::NoTrans);
 
   auto op_elem = [&](std::int64_t i, std::int64_t l) -> T {
     return opa == Op::NoTrans ? a(i, l) : detail::apply_op(opa, a(l, i));
   };
 
-  if (side == Side::Left) {
-    for (std::int64_t j = 0; j < b.cols(); ++j) {
-      T* bj = b.col(j);
-      if (alpha != T(1)) scal(n, alpha, bj);
-      if (op_upper) {
-        for (std::int64_t i = n - 1; i >= 0; --i) {
-          T acc = bj[i];
-          for (std::int64_t l = i + 1; l < n; ++l) acc -= op_elem(i, l) * bj[l];
-          bj[i] = diag == Diag::Unit ? acc : acc / op_elem(i, i);
-        }
-      } else {
-        for (std::int64_t i = 0; i < n; ++i) {
-          T acc = bj[i];
-          for (std::int64_t l = 0; l < i; ++l) acc -= op_elem(i, l) * bj[l];
-          bj[i] = diag == Diag::Unit ? acc : acc / op_elem(i, i);
-        }
-      }
-    }
-  } else {
-    // X * op(A) = alpha * B  =>  column solves over X columns.
-    if (alpha != T(1)) scale(alpha, b);
+  for (std::int64_t j = 0; j < b.cols(); ++j) {
+    T* bj = b.col(j);
+    if (alpha != T(1)) scal(n, alpha, bj);
     if (op_upper) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        T* bj = b.col(j);
-        for (std::int64_t l = 0; l < j; ++l) axpy(b.rows(), -op_elem(l, j), b.col(l), bj);
-        if (diag == Diag::NonUnit) scal(b.rows(), T(1) / op_elem(j, j), bj);
+      for (std::int64_t i = n - 1; i >= 0; --i) {
+        T acc = bj[i];
+        for (std::int64_t l = i + 1; l < n; ++l) acc -= op_elem(i, l) * bj[l];
+        bj[i] = diag == Diag::Unit ? acc : acc / op_elem(i, i);
       }
     } else {
-      for (std::int64_t j = n - 1; j >= 0; --j) {
-        T* bj = b.col(j);
-        for (std::int64_t l = j + 1; l < n; ++l) axpy(b.rows(), -op_elem(l, j), b.col(l), bj);
-        if (diag == Diag::NonUnit) scal(b.rows(), T(1) / op_elem(j, j), bj);
+      for (std::int64_t i = 0; i < n; ++i) {
+        T acc = bj[i];
+        for (std::int64_t l = 0; l < i; ++l) acc -= op_elem(i, l) * bj[l];
+        bj[i] = diag == Diag::Unit ? acc : acc / op_elem(i, i);
       }
     }
   }

@@ -407,8 +407,8 @@ class TiledQr {
     copy(b, ypad.sub(0, 0, m, b.cols()));
     Matrix<T> l = l_factor();
     auto head = ypad.sub(0, 0, m, b.cols());
-    blas::trsm(blas::Side::Left, blas::Uplo::Lower, blas::Op::NoTrans, blas::Diag::NonUnit,
-               T(1), l.sub(0, 0, m, m), head);
+    blas::trsm(blas::Uplo::Lower, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
+               l.sub(0, 0, m, m), head);
     return TileMatrix<T>::operand(ConstMatrixView<T>(ypad.view()), a_.nb());
   }
 
@@ -420,17 +420,9 @@ class TiledQr {
     Matrix<T> x(n, c.n());
     for (std::int64_t j = 0; j < c.n(); ++j) c.read_column(j, 0, n, x.view().col(j));
     Matrix<T> r = r_factor();
-    blas::trsm(blas::Side::Left, blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit,
-               T(1), r.sub(0, 0, n, n), x.view());
+    blas::trsm(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
+               r.sub(0, 0, n, n), x.view());
     return x;
-  }
-
-  /// Minimum-norm solution of the underdetermined system A x = b for wide A
-  /// (m < n): y = L^{-1} b, x = Q^H y = Q̃ [y; 0]. b is m x nrhs.
-  [[nodiscard]] Matrix<T> solve_minimum_norm(ConstMatrixView<T> b) const {
-    TILEDQR_CHECK(kind_ == kernels::FactorKind::LQ,
-                  "solve_minimum_norm: requires a wide (LQ) factorization");
-    return solve_least_squares(b);
   }
 
   /// Least squares: min_x || A x - b ||_2 for tall A (m >= n), or the

@@ -143,8 +143,8 @@ void larft(ConstMatrixView<T> v, const T* tau, MatrixView<T> t) {
     // t(0:i, i) = T(0:i,0:i) * t(0:i, i)
     if (i > 0) {
       auto tcol = MatrixView<T>(&t(0, i), i, 1, t.ld());
-      blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit,
-                 T(1), t.sub(0, 0, i, i), tcol);
+      blas::trmm(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
+                 t.sub(0, 0, i, i), tcol);
     }
     t(i, i) = tau[i];
   }
@@ -175,13 +175,12 @@ void larfb_left(ApplyTrans trans, ConstMatrixView<T> v, ConstMatrixView<T> t, Ma
 
   // W := V^H C = V1^H C1 + V2^H C2
   copy(ConstMatrixView<T>(c1), w);
-  blas::trmm(blas::Side::Left, blas::Uplo::Lower, blas::Op::ConjTrans, blas::Diag::Unit, T(1),
-             v1, w);
+  blas::trmm(blas::Uplo::Lower, blas::Op::ConjTrans, blas::Diag::Unit, T(1), v1, w);
   if (m > k)
     blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), v2, ConstMatrixView<T>(c2), T(1), w);
 
   // W := op(T) W
-  blas::trmm(blas::Side::Left, blas::Uplo::Upper,
+  blas::trmm(blas::Uplo::Upper,
              trans == ApplyTrans::ConjTrans ? blas::Op::ConjTrans : blas::Op::NoTrans,
              blas::Diag::NonUnit, T(1), t, w);
 

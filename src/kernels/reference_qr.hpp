@@ -84,7 +84,7 @@ template <typename T>
   const std::int64_t n = a.cols();
   Matrix<T> x(n, b.cols());
   copy(qtb.sub(0, 0, n, b.cols()), x.view());
-  blas::trsm(blas::Side::Left, blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
+  blas::trsm(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
              qr.vr.sub(0, 0, n, n), x.view());
   return x;
 }

@@ -87,7 +87,7 @@ void tp_apply_block(ApplyTrans trans, Tails tails, ConstMatrixView<std::type_ide
     blas::trmm_acc(blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit, T(1),
                    v.sub(dense, 0, sb, sb), c2.sub(dense, 0, sb, nn), w);
   // W := op(tblk) W
-  blas::trmm(blas::Side::Left, blas::Uplo::Upper,
+  blas::trmm(blas::Uplo::Upper,
              trans == ApplyTrans::ConjTrans ? blas::Op::ConjTrans : blas::Op::NoTrans,
              blas::Diag::NonUnit, T(1), tblk, w);
   // c1 -= W, c2 -= v W
@@ -146,8 +146,8 @@ void tpqrt(Tails tails, int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T
                      blas::dotc(tail_rows(tails, m2, i + l), a2.col(i + l), a2.col(i + j));
       if (j > 0) {
         auto tcol = MatrixView<T>(&tblk(0, j), j, 1, tblk.ld());
-        blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit,
-                   T(1), tblk.sub(0, 0, j, j), tcol);
+        blas::trmm(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
+                   tblk.sub(0, 0, j, j), tcol);
       }
       tblk(j, j) = tau[i + j];
     }

@@ -235,12 +235,4 @@ double MetricsRegistry::Snapshot::value(const std::string& name) const {
   return std::nan("");
 }
 
-std::vector<Sample> MetricsRegistry::Snapshot::with_prefix(const std::string& prefix) const {
-  std::vector<Sample> out;
-  for (const auto& s : samples) {
-    if (s.name.rfind(prefix, 0) == 0) out.push_back(s);
-  }
-  return out;
-}
-
 }  // namespace tiledqr::obs

@@ -132,8 +132,6 @@ class MetricsRegistry {
     [[nodiscard]] std::string to_json() const;
     /// First sample whose name matches exactly; NaN when absent.
     [[nodiscard]] double value(const std::string& name) const;
-    /// Samples whose names start with `prefix`.
-    [[nodiscard]] std::vector<Sample> with_prefix(const std::string& prefix) const;
   };
 
   [[nodiscard]] SourceHandle register_source(std::string name, Source source);

@@ -15,7 +15,6 @@ namespace {
 
 using blas::Diag;
 using blas::Op;
-using blas::Side;
 using blas::Uplo;
 
 template <typename T>
@@ -166,24 +165,21 @@ TYPED_TEST(BlasTyped, GemmWideColumnBlocking) {
 TYPED_TEST(BlasTyped, TrmmMatchesDenseMultiply) {
   using T = TypeParam;
   const std::int64_t n = 6, m = 4;
-  for (Side side : {Side::Left, Side::Right}) {
-    for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
-      for (Op op : {Op::NoTrans, Op::ConjTrans}) {
-        for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-          Matrix<T> a = random_matrix<T>(n, n, 7);
-          make_triangular(a, uplo);
-          Matrix<T> b =
-              side == Side::Left ? random_matrix<T>(n, m, 8) : random_matrix<T>(m, n, 8);
-          Matrix<T> bt(b.rows(), b.cols());
-          copy(b.view(), bt.view());
-          blas::trmm(side, uplo, op, diag, T(2), a.view(), bt.view());
-          auto eff = op_of(op, effective_triangle(a, uplo, diag));
-          Matrix<T> want = side == Side::Left ? naive_mul(eff, b) : naive_mul(b, eff);
-          blas::scale(T(2), want.view());
-          EXPECT_LE(difference_norm<T>(want.view(), bt.view()), 8 * this->tol())
-              << "side=" << int(side) << " uplo=" << int(uplo) << " op=" << int(op)
-              << " diag=" << int(diag);
-        }
+  for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
+    for (Op op : {Op::NoTrans, Op::ConjTrans}) {
+      for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+        Matrix<T> a = random_matrix<T>(n, n, 7);
+        make_triangular(a, uplo);
+        Matrix<T> b = random_matrix<T>(n, m, 8);
+        Matrix<T> bt(b.rows(), b.cols());
+        copy(b.view(), bt.view());
+        blas::trmm(uplo, op, diag, T(2), a.view(), bt.view());
+        auto eff = op_of(op, effective_triangle(a, uplo, diag));
+        Matrix<T> want = naive_mul(eff, b);
+        for (std::int64_t j = 0; j < m; ++j)
+          for (std::int64_t i = 0; i < n; ++i) want(i, j) *= T(2);
+        EXPECT_LE(difference_norm<T>(want.view(), bt.view()), 8 * this->tol())
+            << "uplo=" << int(uplo) << " op=" << int(op) << " diag=" << int(diag);
       }
     }
   }
@@ -214,25 +210,21 @@ TYPED_TEST(BlasTyped, TrmmAccAccumulates) {
 TYPED_TEST(BlasTyped, TrsmSolves) {
   using T = TypeParam;
   const std::int64_t n = 6, m = 4;
-  for (Side side : {Side::Left, Side::Right}) {
-    for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
-      for (Op op : {Op::NoTrans, Op::ConjTrans}) {
-        for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-          Matrix<T> a = random_matrix<T>(n, n, 12);
-          make_triangular(a, uplo);
-          boost_diagonal(a);
-          Matrix<T> b =
-              side == Side::Left ? random_matrix<T>(n, m, 13) : random_matrix<T>(m, n, 13);
-          Matrix<T> x(b.rows(), b.cols());
-          copy(b.view(), x.view());
-          blas::trsm(side, uplo, op, diag, T(1), a.view(), x.view());
-          // Check op(A) X == B (left) or X op(A) == B (right).
-          auto eff = op_of(op, effective_triangle(a, uplo, diag));
-          Matrix<T> back = side == Side::Left ? naive_mul(eff, x) : naive_mul(x, eff);
-          EXPECT_LE(difference_norm<T>(back.view(), b.view()), 32 * this->tol())
-              << "side=" << int(side) << " uplo=" << int(uplo) << " op=" << int(op)
-              << " diag=" << int(diag);
-        }
+  for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
+    for (Op op : {Op::NoTrans, Op::ConjTrans}) {
+      for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+        Matrix<T> a = random_matrix<T>(n, n, 12);
+        make_triangular(a, uplo);
+        boost_diagonal(a);
+        Matrix<T> b = random_matrix<T>(n, m, 13);
+        Matrix<T> x(b.rows(), b.cols());
+        copy(b.view(), x.view());
+        blas::trsm(uplo, op, diag, T(1), a.view(), x.view());
+        // Check op(A) X == B.
+        auto eff = op_of(op, effective_triangle(a, uplo, diag));
+        Matrix<T> back = naive_mul(eff, x);
+        EXPECT_LE(difference_norm<T>(back.view(), b.view()), 32 * this->tol())
+            << "uplo=" << int(uplo) << " op=" << int(op) << " diag=" << int(diag);
       }
     }
   }

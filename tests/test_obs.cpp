@@ -9,6 +9,7 @@
 // pool factorization end to end and writes build/trace_ci.json, which CI
 // uploads as a Perfetto-loadable artifact.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -49,6 +50,14 @@ const Value& at(const Value& v, const char* key) {
   const Value* member = v.find(key);
   if (member == nullptr) throw std::runtime_error(std::string("missing key: ") + key);
   return *member;
+}
+
+/// A file-name stem unique to this process, in the test temp directory. The
+/// append-safe export tests write "<stem>.<ext>" and "<stem>-1.<ext>", and
+/// test_obs processes sharing a directory must not write or delete each
+/// other's files.
+std::string process_stem(const char* name) {
+  return ::testing::TempDir() + name + "_" + std::to_string(getpid());
 }
 
 // ------------------------------------------------------------------------
@@ -286,12 +295,13 @@ TEST(Trace, ExportNowInsertsUniqueSuffix) {
   });
   writer.join();
 
-  std::remove("export_now_ci.json");
-  std::remove("export_now_ci-1.json");
-  const std::string p1 = guard.tracer.export_now("export_now_ci.json");
-  const std::string p2 = guard.tracer.export_now("export_now_ci.json");
-  EXPECT_EQ(p1, "export_now_ci.json");
-  EXPECT_EQ(p2, "export_now_ci-1.json");  // append-safe: never overwrites
+  const std::string stem = process_stem("export_now");
+  std::remove((stem + ".json").c_str());
+  std::remove((stem + "-1.json").c_str());
+  const std::string p1 = guard.tracer.export_now(stem + ".json");
+  const std::string p2 = guard.tracer.export_now(stem + ".json");
+  EXPECT_EQ(p1, stem + ".json");
+  EXPECT_EQ(p2, stem + "-1.json");  // append-safe: never overwrites
 
   // Both files exist and hold valid Chrome JSON.
   for (const std::string& path : {p1, p2}) {
@@ -372,12 +382,13 @@ TEST(Metrics, JsonDumpParses) {
 TEST(Metrics, DumpNowInsertsUniqueSuffix) {
   obs::MetricsRegistry reg;
   reg.counter("dumped.count").add(1);
-  std::remove("dump_now_ci.txt");
-  std::remove("dump_now_ci-1.txt");
-  const std::string p1 = reg.dump_now("dump_now_ci.txt");
-  const std::string p2 = reg.dump_now("dump_now_ci.txt");
-  EXPECT_EQ(p1, "dump_now_ci.txt");
-  EXPECT_EQ(p2, "dump_now_ci-1.txt");  // append-safe, like Tracer::export_now
+  const std::string stem = process_stem("dump_now");
+  std::remove((stem + ".txt").c_str());
+  std::remove((stem + "-1.txt").c_str());
+  const std::string p1 = reg.dump_now(stem + ".txt");
+  const std::string p2 = reg.dump_now(stem + ".txt");
+  EXPECT_EQ(p1, stem + ".txt");
+  EXPECT_EQ(p2, stem + "-1.txt");  // append-safe, like Tracer::export_now
   std::ifstream in(p2);
   ASSERT_TRUE(in.good());
   std::stringstream buf;
@@ -744,15 +755,16 @@ TEST(Health, SnapshotsAreOnDemandAppendSafeAndSignalDriven) {
   runtime::ThreadPool pool(2);
   obs::HealthMonitor::Options hopt;
   hopt.poll = std::chrono::milliseconds(5);
-  hopt.snapshot_path = "health_ci_snapshot.txt";
+  const std::string stem = process_stem("health_snapshot");
+  hopt.snapshot_path = stem + ".txt";
   hopt.report = [] { return std::string("REPORT_MARKER\n"); };
-  std::remove("health_ci_snapshot.txt");
-  std::remove("health_ci_snapshot-1.txt");
+  std::remove((stem + ".txt").c_str());
+  std::remove((stem + "-1.txt").c_str());
   obs::HealthMonitor mon(pool, hopt);
 
   // API path: a direct dump, synchronously.
   const std::string p1 = mon.dump_snapshot();
-  EXPECT_EQ(p1, "health_ci_snapshot.txt");
+  EXPECT_EQ(p1, stem + ".txt");
   {
     std::ifstream in(p1);
     ASSERT_TRUE(in.good());
@@ -772,11 +784,11 @@ TEST(Health, SnapshotsAreOnDemandAppendSafeAndSignalDriven) {
   while (mon.stats().snapshots < 2 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_GE(mon.stats().snapshots, 2);
-  std::ifstream second("health_ci_snapshot-1.txt");
+  std::ifstream second(stem + "-1.txt");
   EXPECT_TRUE(second.good());
 
-  std::remove("health_ci_snapshot.txt");
-  std::remove("health_ci_snapshot-1.txt");
+  std::remove((stem + ".txt").c_str());
+  std::remove((stem + "-1.txt").c_str());
 }
 
 // ------------------------------------------------------------------------

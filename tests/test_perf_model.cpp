@@ -1,6 +1,9 @@
 // Tests for the roofline prediction model and the perf harness plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "blas/simd/simd.hpp"
 #include "core/experiment.hpp"
 #include "core/roofline.hpp"
@@ -103,14 +106,25 @@ TEST(PerfHarness, KernelSecondsOrdering) {
   // Pinned to the scalar dispatch tier: the vectorized tiers speed up the
   // GEMM-shaped TS kernels far more than the triangular TT kernels, so the
   // flops-proportional-to-seconds assumption only holds for the plain loops.
+  // Paired: one measure_kernel_seconds call times both kernels of a ratio a
+  // few milliseconds apart, so a slow phase of the host stretches both; the
+  // bound applies to the median of the per-round ratios.
+  using kernels::KernelKind;
   const auto saved = blas::simd::active_tier();
   blas::simd::set_tier(blas::simd::Tier::Scalar);
-  auto sec = perf::measure_kernel_seconds<double>(48, 8, perf::CacheMode::InCache, 5);
+  std::vector<double> mqr, qrt;  // TSMQR / TTMQR and TSQRT / TTQRT per round
+  for (int round = 0; round < 9; ++round) {
+    auto sec = perf::measure_kernel_seconds<double>(48, 8, perf::CacheMode::InCache, 5);
+    mqr.push_back(sec[size_t(KernelKind::TSMQR)] / sec[size_t(KernelKind::TTMQR)]);
+    qrt.push_back(sec[size_t(KernelKind::TSQRT)] / sec[size_t(KernelKind::TTQRT)]);
+  }
   blas::simd::set_tier(saved);
-  EXPECT_GT(sec[size_t(kernels::KernelKind::TSMQR)],
-            sec[size_t(kernels::KernelKind::TTMQR)] * 0.9);
-  EXPECT_GT(sec[size_t(kernels::KernelKind::TSQRT)],
-            sec[size_t(kernels::KernelKind::TTQRT)] * 0.9);
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  EXPECT_GT(median(mqr), 0.9) << "TSMQR / TTMQR";
+  EXPECT_GT(median(qrt), 0.9) << "TSQRT / TTQRT";
 }
 
 TEST(Experiment, RunFactorizationProducesSaneRecord) {

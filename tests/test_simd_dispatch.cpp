@@ -270,7 +270,6 @@ TEST(SimdEquivalence, TrmmAcrossTiers) {
   TierGuard guard;
   using blas::Diag;
   using blas::Op;
-  using blas::Side;
   using blas::Uplo;
   for (std::int64_t n : {3, 8, 13}) {
     auto a = random_matrix<double>(n, n, 51);
@@ -280,7 +279,7 @@ TEST(SimdEquivalence, TrmmAcrossTiers) {
         ASSERT_TRUE(simd::set_tier(simd::Tier::Scalar));
         Matrix<double> ref(n, 5);
         copy(b0.view(), ref.view());
-        blas::trmm(Side::Left, uplo, op, Diag::Unit, 1.0, a.view(), ref.view());
+        blas::trmm(uplo, op, Diag::Unit, 1.0, a.view(), ref.view());
 
         Matrix<double> acc_ref(n, 5);
         blas::trmm_acc(uplo, op, Diag::NonUnit, -1.0, a.view(), b0.view(), acc_ref.view());
@@ -289,7 +288,7 @@ TEST(SimdEquivalence, TrmmAcrossTiers) {
           ASSERT_TRUE(simd::set_tier(t));
           Matrix<double> bt(n, 5);
           copy(b0.view(), bt.view());
-          blas::trmm(Side::Left, uplo, op, Diag::Unit, 1.0, a.view(), bt.view());
+          blas::trmm(uplo, op, Diag::Unit, 1.0, a.view(), bt.view());
           EXPECT_LE(double(difference_norm<double>(ref.view(), bt.view())), 1e-12)
               << simd::tier_name(t) << " n=" << n;
 
