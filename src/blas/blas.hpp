@@ -62,10 +62,6 @@ void trsm(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_ident
 template <typename T>
 void gemv(Op opa, T alpha, ConstMatrixView<std::type_identity_t<T>> a, const T* x, T beta, T* y);
 
-/// A := A + alpha * x * y^H (rank-1 update, contiguous vectors).
-template <typename T>
-void ger(T alpha, const T* x, const T* y, MatrixView<T> a);
-
 /// C := C + alpha * B (same shapes).
 template <typename T>
 void add(T alpha, ConstMatrixView<std::type_identity_t<T>> b, MatrixView<T> c);

@@ -1,4 +1,4 @@
-// gemm / gemv / ger implementations.
+// gemm / gemv implementations.
 //
 // For real scalars the NN and (Conj)Trans x NoTrans paths — the hot loops of
 // the update kernels — dispatch to the runtime-selected SIMD table
@@ -195,16 +195,6 @@ void gemv(Op opa, T alpha, ConstMatrixView<std::type_identity_t<T>> a, const T* 
       }
       y[j] = beta == T(0) ? alpha * acc : beta * y[j] + alpha * acc;
     }
-  }
-}
-
-template <typename T>
-void ger(T alpha, const T* x, const T* y, MatrixView<T> a) {
-  if constexpr (!is_complex_v<T>) {
-    ger_acc(a.rows(), a.cols(), alpha, x, y, a.data(), a.ld());
-  } else {
-    for (std::int64_t j = 0; j < a.cols(); ++j)
-      axpy(a.rows(), alpha * conj_if_complex(y[j]), x, a.col(j));
   }
 }
 

@@ -10,7 +10,6 @@
 #include "common/timer.hpp"
 #include "obs/kernel_profile.hpp"
 #include "obs/trace.hpp"
-#include "runtime/chase_lev.hpp"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -109,6 +108,16 @@ struct ThreadPool::Component {
   std::atomic<bool> retired{false};
   std::mutex err_mu;
   std::exception_ptr error;
+
+  /// Orders global task ids by descending key, ties by ascending id — the
+  /// order Worker::push takes.
+  void sort_most_urgent_first(std::vector<std::int32_t>& tasks) const {
+    std::sort(tasks.begin(), tasks.end(), [&](std::int32_t a, std::int32_t b) {
+      const long ka = keys[size_t(a % stride)];
+      const long kb = keys[size_t(b % stride)];
+      return ka != kb ? ka > kb : a < b;
+    });
+  }
 };
 
 /// One in-flight submission: an append-only, generation-counted set of DAG
@@ -172,50 +181,34 @@ struct ThreadPool::Submission {
   int worker_count = 0;
 };
 
-/// Per-worker ready set: a fixed array of lanes, one Chase–Lev deque per
-/// live submission the worker holds work for, plus a mutexed inbox.
+/// Per-worker ready set: one lane per live submission the worker holds work
+/// for, all behind one mutex. Dealers (from any thread), the owner pushing
+/// ready successors, the owner's pop and thieves' steals all take `mu`.
 ///
-/// Single-producer discipline: only the OWNER pushes into (and assigns/
-/// recycles) its lanes. Everything arriving from another thread — dealt
-/// sources, forwarded inadmissible steals — lands in the inbox; the owner
-/// drains it into lanes before popping. Thieves steal lock-free from lane
-/// tops, and, failing that, take admissible items from inboxes under the
-/// mutex, so capped work parked on a busy worker is never stranded.
-///
-/// The owner pops LIFO from a lane bottom — preserving locality and the
-/// per-component priority order exactly as the old mutexed deques did — but
-/// rotates round-robin across lanes, so one chatty stream's continuous
-/// grafts cannot bury another submission's items (the pop-side half of
-/// multi-stream fairness; the deal-side half is the pool-level graft
-/// rotation). A lane whose deque drains is recycled (sub cleared) by the
-/// owner; admissibility of a stolen item is verified from the item's own
-/// component afterwards, so a lane recycling mid-steal can never leak a
-/// capped submission's task to an out-of-set worker.
+/// Every push appends in ascending priority, so the owner pops LIFO from a
+/// lane's back — the most urgent item, whose inputs were just written — and
+/// thieves take the oldest from its front. The owner rotates round-robin
+/// across lanes, so one chatty stream's continuous grafts cannot bury
+/// another submission's items (the pop-side half of multi-stream fairness;
+/// the deal-side half is the pool-level graft rotation). A thief checks a
+/// lane's submission admits it before removing anything, so a capped
+/// submission's items only ever run inside its worker set.
 struct ThreadPool::Worker {
-  static constexpr std::size_t kLanes = 16;  ///< concurrent submissions held apart
-
   struct Lane {
-    ChaseLevDeque<Component> deq;
-    /// Owner-written lane key (which submission this lane serves); nullptr =
-    /// free. Compared, never dereferenced, by non-owners.
-    std::atomic<Submission*> sub{nullptr};
+    /// Compared only, except while `items` holds its tasks (which keep the
+    /// submission alive).
+    Submission* sub = nullptr;
+    std::deque<Item> items;  ///< empty = free for any submission
   };
 
-  std::array<Lane, kLanes> lanes;
-  std::size_t rr = 0;  ///< owner-private round-robin cursor over lanes
-  /// Thieves' rotation cursor over this victim's lanes: a successful steal
-  /// advances it, so heavy stealing serves submissions round-robin instead
-  /// of draining one lane dry first.
-  std::atomic<unsigned> steal_rr{0};
-
-  /// Cross-thread mailbox (dealers + forwarded steals -> owner/thieves).
-  std::mutex inbox_mu;
-  std::deque<Item> inbox;
-  std::atomic<long> inbox_size{0};  ///< maintained under inbox_mu; read lock-free
-  /// Rotation cursor for steal_inbox, guarded by inbox_mu: which parked
-  /// submission thieves serve next, so inbox steals interleave submissions
-  /// like lane steals do instead of draining one stream's backlog FIFO.
-  unsigned inbox_steal_rr = 0;
+  std::mutex mu;  ///< guards lanes, rr and steal_rr
+  /// Grows to the most submissions this worker has held at once; a drained
+  /// lane is reused, keeping its deque's storage.
+  std::vector<Lane> lanes;
+  std::size_t rr = 0;  ///< owner's rotation cursor over lanes
+  /// Thieves' rotation cursor: a successful steal advances it, so heavy
+  /// stealing serves submissions round-robin instead of draining one lane.
+  std::size_t steal_rr = 0;
 
   // Per-worker relaxed counters, summed by stats().
   std::atomic<long> tasks_home{0};
@@ -240,20 +233,49 @@ struct ThreadPool::Worker {
   std::atomic<std::int32_t> running_task{-1};
   std::atomic<std::uint8_t> running_kind{0xFF};
 
-  /// Owner only: lane serving `s`, claiming a free one if needed; nullptr
-  /// when every lane is taken by another live submission (caller falls back
-  /// to the inbox). Stale keys of dead submissions are only ever *compared*
-  /// against, and a lane with a stale key is necessarily empty (items keep
-  /// their submission alive), so it gets recycled by the pop scan.
-  Lane* lane_for(Submission* s) {
-    Lane* free_lane = nullptr;
-    for (auto& lane : lanes) {
-      Submission* cur = lane.sub.load(std::memory_order_relaxed);
-      if (cur == s) return &lane;
-      if (cur == nullptr && free_lane == nullptr) free_lane = &lane;
+  /// Queues `tasks` of `comp`, given most urgent first, on the lane of its
+  /// submission, claiming a free lane if it has none. Takes `mu`; pop() and
+  /// steal() require it held.
+  void push(Component* comp, const std::vector<std::int32_t>& tasks) {
+    std::lock_guard<std::mutex> lock(mu);
+    Lane* lane = nullptr;
+    for (auto& l : lanes) {
+      if (l.sub == comp->owner) {
+        lane = &l;
+        break;
+      }
+      if (l.items.empty() && lane == nullptr) lane = &l;
     }
-    if (free_lane) free_lane->sub.store(s, std::memory_order_relaxed);
-    return free_lane;
+    if (lane == nullptr) lane = &lanes.emplace_back();
+    lane->sub = comp->owner;
+    for (auto it = tasks.rbegin(); it != tasks.rend(); ++it) lane->items.push_back(Item{comp, *it});
+  }
+
+  /// Owner: LIFO pop from the next non-empty lane in the rotation.
+  bool pop(Item& out) {
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      std::deque<Item>& items = lanes[(rr + k) % lanes.size()].items;
+      if (items.empty()) continue;
+      out = items.back();
+      items.pop_back();
+      rr = (rr + k + 1) % lanes.size();
+      return true;
+    }
+    return false;
+  }
+
+  /// Thief: the oldest item of the next lane in the steal rotation whose
+  /// submission admits worker `thief`.
+  bool steal(int thief, int pool_size, Item& out) {
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      Lane& lane = lanes[(steal_rr + k) % lanes.size()];
+      if (lane.items.empty() || !lane.sub->worker_in_set(thief, pool_size)) continue;
+      out = lane.items.front();
+      lane.items.pop_front();
+      steal_rr = (steal_rr + k + 1) % lanes.size();
+      return true;
+    }
+    return false;
   }
 };
 
@@ -375,17 +397,14 @@ std::vector<ThreadPool::WorkerProbe> ThreadPool::probe_workers() const {
     Worker& wk = *workers_[w];
     WorkerProbe p;
     p.worker = int(w);
-    for (const auto& lane : wk.lanes) p.ready += std::size_t(lane.deq.size());
-    p.ready += std::size_t(std::max<long>(0, wk.inbox_size.load(std::memory_order_acquire)));
+    {
+      std::lock_guard<std::mutex> lock(wk.mu);
+      for (const auto& lane : wk.lanes) p.ready += lane.items.size();
+    }
     p.running_since_ns = wk.running_since.load(std::memory_order_acquire);
     p.running_task = wk.running_task.load(std::memory_order_relaxed);
     p.running_kind = wk.running_kind.load(std::memory_order_relaxed);
     p.last_finish_ns = wk.last_finish.load(std::memory_order_acquire);
-    p.tasks_home = wk.tasks_home.load(std::memory_order_relaxed);
-    p.tasks_foreign = wk.tasks_foreign.load(std::memory_order_relaxed);
-    for (int k = 0; k < kStealLatencyBuckets; ++k)
-      p.steal_latency_hist[std::size_t(k)] =
-          wk.steal_latency_hist[std::size_t(k)].load(std::memory_order_relaxed);
     out.push_back(p);
   }
   return out;
@@ -394,8 +413,8 @@ std::vector<ThreadPool::WorkerProbe> ThreadPool::probe_workers() const {
 long ThreadPool::ready_depth() const {
   long n = 0;
   for (const auto& w : workers_) {
-    for (const auto& lane : w->lanes) n += long(lane.deq.size());
-    n += std::max<long>(0, w->inbox_size.load(std::memory_order_acquire));
+    std::lock_guard<std::mutex> lock(w->mu);
+    for (const auto& lane : w->lanes) n += long(lane.items.size());
   }
   return n;
 }
@@ -423,12 +442,6 @@ std::shared_ptr<ThreadPool::Submission> ThreadPool::make_submission(int max_work
   sub->first_worker = int(next_start_.fetch_add(1, std::memory_order_relaxed) % unsigned(pool_size));
   sub->closed.store(closed, std::memory_order_relaxed);
   return sub;
-}
-
-void ThreadPool::push_inbox(Worker& w, const Item* items, std::size_t n) {
-  std::lock_guard<std::mutex> lock(w.inbox_mu);
-  for (std::size_t i = 0; i < n; ++i) w.inbox.push_back(items[i]);
-  w.inbox_size.store(long(w.inbox.size()), std::memory_order_release);
 }
 
 ThreadPool::Component& ThreadPool::append_component(
@@ -472,11 +485,7 @@ ThreadPool::Component& ThreadPool::append_component(
     if (g.tasks[t].npred == 0)
       for (int c = 0; c < copies; ++c)
         sources.push_back(std::int32_t(c) * stride + std::int32_t(t));
-  std::sort(sources.begin(), sources.end(), [&](std::int32_t a, std::int32_t b) {
-    const long ka = comp->keys[size_t(a % stride)];
-    const long kb = comp->keys[size_t(b % stride)];
-    return ka != kb ? ka > kb : a < b;
-  });
+  comp->sort_most_urgent_first(sources);
 
   const int pool_size = size();
   if (sub->stream) {
@@ -486,32 +495,17 @@ ThreadPool::Component& ThreadPool::append_component(
     // streams.
     const int slot = int(stream_deal_round_.fetch_add(1, std::memory_order_relaxed) %
                          unsigned(sub->worker_count));
-    const int home = (sub->first_worker + slot) % pool_size;
-    comp->home = home;
-    // Inbox order is drained-in-order into a LIFO lane, so push ascending
-    // priority: the owner pops the most urgent first.
-    std::vector<Item> items;
-    items.reserve(sources.size());
-    for (auto it = sources.rbegin(); it != sources.rend(); ++it)
-      items.push_back(Item{comp, *it});
-    push_inbox(*workers_[size_t(home)], items.data(), items.size());
+    comp->home = (sub->first_worker + slot) % pool_size;
+    workers_[size_t(comp->home)]->push(comp, sources);
   } else {
     // Spread dealing of a one-shot submission: round-robin across its worker
     // set, starting at first_worker (which rotates per submission).
     std::vector<std::vector<std::int32_t>> dealt(size_t(sub->worker_count));
     for (size_t i = 0; i < sources.size(); ++i)
       dealt[i % size_t(sub->worker_count)].push_back(sources[i]);
-    for (int d = 0; d < sub->worker_count; ++d) {
-      if (dealt[size_t(d)].empty()) continue;
-      Worker& w = *workers_[size_t((sub->first_worker + d) % pool_size)];
-      // Ascending priority into the inbox -> LIFO lane pops most urgent
-      // first (the old push-reversed-pop-back behavior, one hop removed).
-      std::vector<Item> items;
-      items.reserve(dealt[size_t(d)].size());
-      for (auto it = dealt[size_t(d)].rbegin(); it != dealt[size_t(d)].rend(); ++it)
-        items.push_back(Item{comp, *it});
-      push_inbox(w, items.data(), items.size());
-    }
+    for (int d = 0; d < sub->worker_count; ++d)
+      if (!dealt[size_t(d)].empty())
+        workers_[size_t((sub->first_worker + d) % pool_size)]->push(comp, dealt[size_t(d)]);
   }
   signal_work();
   return *comp;
@@ -691,177 +685,38 @@ void ThreadPool::worker_main(int wid, std::latch& named) {
   }
 }
 
-/// Owner: move inbox items into lanes. Stops early when every lane is taken
-/// by other live submissions, re-queuing the remainder in order — thieves
-/// can still take those from the inbox, and the owner retries after its
-/// lanes drain (recycling frees lanes), so nothing is ever stranded.
-void ThreadPool::drain_inbox(Worker& self) {
-  if (self.inbox_size.load(std::memory_order_acquire) == 0) return;
-  std::deque<Item> moved;
-  {
-    std::lock_guard<std::mutex> lock(self.inbox_mu);
-    moved.swap(self.inbox);
-    self.inbox_size.store(0, std::memory_order_release);
-  }
-  while (!moved.empty()) {
-    const Item item = moved.front();
-    Worker::Lane* lane = self.lane_for(item.comp->owner);
-    if (!lane) break;
-    moved.pop_front();
-    lane->deq.push(ChaseLevDeque<Component>::Entry{item.comp, item.task});
-  }
-  if (!moved.empty()) {
-    std::lock_guard<std::mutex> lock(self.inbox_mu);
-    for (auto it = moved.rbegin(); it != moved.rend(); ++it) self.inbox.push_front(*it);
-    self.inbox_size.store(long(self.inbox.size()), std::memory_order_release);
-  }
-}
-
-/// Owner: LIFO pop, rotating round-robin across lanes so every live
-/// submission makes progress. Empty lanes are recycled in passing.
-bool ThreadPool::pop_rotating(Worker& self, Item& out) {
-  for (std::size_t k = 0; k < Worker::kLanes; ++k) {
-    const std::size_t i = (self.rr + k) % Worker::kLanes;
-    Worker::Lane& lane = self.lanes[i];
-    if (lane.sub.load(std::memory_order_relaxed) == nullptr) continue;
-    ChaseLevDeque<Component>::Entry e;
-    if (lane.deq.pop(e)) {
-      self.rr = (i + 1) % Worker::kLanes;
-      out = Item{e.ptr, e.tag};
-      return true;
-    }
-    // pop() false means the lane is now empty (a lost last-element race
-    // handed the item to a thief) — recycle it for the next submission.
-    lane.sub.store(nullptr, std::memory_order_relaxed);
-  }
-  return false;
-}
-
-/// Thief: lock-free steal from the victim's lanes, rotating from the
-/// victim's steal cursor. A successful steal whose item turns out to be
-/// confined to a worker set excluding the thief (the lane was recycled
-/// mid-probe) is forwarded to the submission's first worker — always
-/// in-set — instead of being run here.
-bool ThreadPool::steal_lanes(Worker& victim, Worker& thief, int thief_wid, Item& out) {
-  const int pool_size = size();
-  const unsigned cursor = victim.steal_rr.load(std::memory_order_relaxed);
-  for (std::size_t k = 0; k < Worker::kLanes; ++k) {
-    Worker::Lane& lane = victim.lanes[(std::size_t(cursor) + k) % Worker::kLanes];
-    for (;;) {
-      ChaseLevDeque<Component>::Entry e;
-      const auto r = lane.deq.steal(e);
-      if (r == ChaseLevDeque<Component>::Steal::Empty) break;
-      if (r == ChaseLevDeque<Component>::Steal::Lost) {
-        thief.steal_cas_retries.fetch_add(1, std::memory_order_relaxed);
-        continue;  // someone else made progress; retry this lane
-      }
-      Item item{e.ptr, e.tag};
-      Submission* s = item.comp->owner;
-      if (!s->worker_in_set(thief_wid, pool_size)) {
-        // Capped work: hand it to a worker inside the set and wake it.
-        push_inbox(*workers_[size_t(s->first_worker)], &item, 1);
-        signal_work();
-        break;  // keep scanning other lanes for admissible work
-      }
-      victim.steal_rr.store(cursor + unsigned(k) + 1, std::memory_order_relaxed);
-      out = item;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Thief: take an admissible item from the victim's inbox (mutexed — the
-/// inbox is the cold path; this keeps capped or lane-overflowed work
-/// reachable while its owner is busy). Parked submissions are served
-/// round-robin (oldest item of the chosen submission), mirroring the lane
-/// rotation: a blocked owner's inbox may hold several streams' backlogs, and
-/// a FIFO drain here would run one stream dry before touching the next —
-/// exactly the unfairness the lanes exist to prevent.
-bool ThreadPool::steal_inbox(Worker& victim, int thief_wid, Item& out) {
-  if (victim.inbox_size.load(std::memory_order_acquire) == 0) return false;
-  const int pool_size = size();
-  std::lock_guard<std::mutex> lock(victim.inbox_mu);
-  std::vector<Submission*> subs;  // distinct parked submissions, arrival order
-  for (const Item& it : victim.inbox) {
-    Submission* s = it.comp->owner;
-    if (std::find(subs.begin(), subs.end(), s) == subs.end()) subs.push_back(s);
-  }
-  for (std::size_t k = 0; k < subs.size(); ++k) {
-    Submission* want = subs[(victim.inbox_steal_rr + k) % subs.size()];
-    if (!want->worker_in_set(thief_wid, pool_size)) continue;
-    for (auto it = victim.inbox.begin(); it != victim.inbox.end(); ++it) {
-      if (it->comp->owner != want) continue;
-      out = *it;
-      victim.inbox.erase(it);
-      victim.inbox_size.store(long(victim.inbox.size()), std::memory_order_release);
-      victim.inbox_steal_rr += unsigned(k) + 1;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Owner: push a ready successor onto the lane serving its submission;
-/// falls back to the own inbox under lane pressure.
-void ThreadPool::push_local(Worker& self, Submission* sub, Item item) {
-  Worker::Lane* lane = self.lane_for(sub);
-  if (lane)
-    lane->deq.push(ChaseLevDeque<Component>::Entry{item.comp, item.task});
-  else
-    push_inbox(self, &item, 1);
-}
-
 bool ThreadPool::try_run_one(int wid) {
   Worker& self = *workers_[size_t(wid)];
-  drain_inbox(self);
   Item item;
-  if (pop_rotating(self, item)) {
+  bool popped = false;
+  {
+    std::lock_guard<std::mutex> lock(self.mu);
+    popped = self.pop(item);
+  }
+  if (popped) {
     run_item(wid, item, /*stolen=*/false);
     return true;
   }
-  // Lane pressure can leave items parked in the own inbox (no free lane at
-  // drain time with every lane claimed). Run the oldest directly rather
-  // than stealing past work that is already ours.
-  {
-    bool took = false;
-    if (self.inbox_size.load(std::memory_order_acquire) != 0) {
-      std::lock_guard<std::mutex> lock(self.inbox_mu);
-      if (!self.inbox.empty()) {
-        item = self.inbox.front();
-        self.inbox.pop_front();
-        self.inbox_size.store(long(self.inbox.size()), std::memory_order_release);
-        took = true;
-      }
-    }
-    if (took) {
-      run_item(wid, item, /*stolen=*/false);
-      return true;
-    }
-  }
-  // Steal: scan victims round-robin — lock-free lane tops first, then the
-  // mutexed inboxes (capped work parked on a busy worker lives there). The
-  // scan is timed so successful steals feed the per-worker latency
-  // histogram; one clock read per scan, paid only once local work ran dry.
+  // Steal: scan victims round-robin. A thief that finds the victim's lock
+  // held counts it and waits: every holder keeps it for a few deque
+  // operations, never across a task. The scan is timed so successful steals
+  // feed the per-worker latency histogram; one clock read per scan, paid
+  // only once local work ran dry.
   const int pool_size = size();
   const std::int64_t steal_t0 = pool_size > 1 ? obs::now_ns() : 0;
   for (int d = 1; d < pool_size; ++d) {
     Worker& victim = *workers_[size_t((wid + d) % pool_size)];
-    if (steal_lanes(victim, self, wid, item)) {
-      tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-      self.record_steal_latency(obs::now_ns() - steal_t0);
-      run_item(wid, item, /*stolen=*/true);
-      return true;
+    std::unique_lock<std::mutex> lock(victim.mu, std::try_to_lock);
+    if (!lock.owns_lock()) {
+      self.steal_cas_retries.fetch_add(1, std::memory_order_relaxed);
+      lock.lock();
     }
-  }
-  for (int d = 1; d < pool_size; ++d) {
-    Worker& victim = *workers_[size_t((wid + d) % pool_size)];
-    if (steal_inbox(victim, wid, item)) {
-      tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-      self.record_steal_latency(obs::now_ns() - steal_t0);
-      run_item(wid, item, /*stolen=*/true);
-      return true;
-    }
+    if (!victim.steal(wid, pool_size, item)) continue;
+    lock.unlock();
+    tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
+    self.record_steal_latency(obs::now_ns() - steal_t0);
+    run_item(wid, item, /*stolen=*/true);
+    return true;
   }
   if (pool_size > 1) self.empty_steal_probes.fetch_add(1, std::memory_order_relaxed);
   return false;
@@ -928,15 +783,8 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
     if (comp.npred[size_t(copy_base + s)].fetch_sub(1, std::memory_order_acq_rel) == 1)
       ready.push_back(copy_base + s);
   if (!ready.empty()) {
-    std::sort(ready.begin(), ready.end(), [&](std::int32_t a, std::int32_t b) {
-      const long ka = comp.keys[size_t(a % stride)];
-      const long kb = comp.keys[size_t(b % stride)];
-      return ka != kb ? ka < kb : a > b;
-    });
-    // Ascending priority pushed to the own lane -> LIFO pop takes the most
-    // urgent first, the same order the old mutexed deque preserved.
-    Submission* sub_of_comp = comp.owner;
-    for (std::int32_t s : ready) push_local(self, sub_of_comp, Item{item.comp, s});
+    comp.sort_most_urgent_first(ready);
+    self.push(item.comp, ready);
     signal_work();
   }
   if (comp.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {

@@ -5,14 +5,12 @@
 // (runtime::execute builds a pool for one call only when asked for more
 // workers than the default pool has):
 //
-//   * each worker owns a fixed set of *lanes* — one Chase–Lev lock-free
-//     deque per live submission it holds work for. The owner pushes and
-//     pops LIFO at the bottom (locality, relaxed fast path); idle workers
-//     steal FIFO from the top, paying one CAS — the steal path takes no
-//     locks. A small per-worker mutexed *inbox* is the cross-thread
-//     mailbox: dealers (submit/append from any thread) push there and the
-//     owner drains it into its lanes, preserving the single-producer
-//     invariant Chase–Lev requires;
+//   * each worker owns one ready set: a mutex guarding one *lane* (a
+//     deque) per live submission it holds work for. Dealers (submit/append
+//     from any thread) and the owner push there; the owner pops LIFO
+//     (locality: the task just enabled has the hottest tiles) and idle
+//     workers steal the oldest item. Tasks are whole tile kernels, so one
+//     short lock per hand-off costs little next to the work;
 //   * the initial ready set of a one-shot DAG is dealt round-robin across
 //     workers in descending critical-path priority (the paper's scheduling
 //     rule), so every worker starts on the most urgent task it holds;
@@ -95,12 +93,12 @@ class ThreadPool {
   struct Stats {
     long graphs_completed = 0;  ///< DAG components fully retired
     long tasks_executed = 0;    ///< task bodies actually run
-    long tasks_stolen = 0;      ///< tasks taken from another worker's lanes/inbox
+    long tasks_stolen = 0;      ///< tasks taken from another worker's ready set
     long streams_opened = 0;    ///< streaming submissions created
     long streams_live = 0;  ///< gauge: streams opened and neither closed nor
                             ///< abandoned (all handles dropped without close)
     // Steal-path contention and locality attribution (summed over workers).
-    long steal_cas_retries = 0;   ///< lost top-CAS races while stealing
+    long steal_cas_retries = 0;   ///< steals that found the victim's lock held
     long empty_steal_probes = 0;  ///< full victim sweeps that found nothing
     long tasks_home = 0;     ///< tasks run on their component's home worker
                              ///< (spread components: run un-stolen)
@@ -237,20 +235,16 @@ class ThreadPool {
     std::int32_t running_task = -1;     ///< its task index (valid while running)
     std::uint8_t running_kind = 0xFF;   ///< its KernelKind, 0xFF = non-kernel
     std::int64_t last_finish_ns = 0;    ///< end of the last retired task; 0 = never
-    long tasks_home = 0;     ///< tasks this worker ran on-home (locality kept)
-    long tasks_foreign = 0;  ///< tasks this worker ran off-home
-    /// This worker's successful-steal latency distribution (see
-    /// kStealLatencyBuckets); racy relaxed reads, like the counters above.
-    std::array<long, kStealLatencyBuckets> steal_latency_hist{};
   };
 
-  /// Probes every worker. Entirely lock-free: lane depths are racy atomic
-  /// estimates and the running slots were already atomics — no worker mutex
-  /// exists to take. Safe from any thread.
+  /// Probes every worker: `ready` under each worker's ready-set lock, held
+  /// for one sum; the running slots are relaxed atomic reads. Safe from any
+  /// thread.
   [[nodiscard]] std::vector<WorkerProbe> probe_workers() const;
 
   /// Total ready items across all workers — "is there runnable work a
-  /// stalled worker should be taking?". Lock-free like probe_workers().
+  /// stalled worker should be taking?". Locks each ready set in turn, like
+  /// probe_workers().
   [[nodiscard]] long ready_depth() const;
 
   /// Process-wide shared pool, lazily created with default_thread_count()
@@ -294,14 +288,6 @@ class ThreadPool {
   bool try_run_one(int wid);
   void run_item(int wid, Item item, bool stolen);
   void signal_work();
-
-  // Lane/inbox plumbing (definitions in the .cpp, where Worker is complete).
-  void drain_inbox(Worker& self);
-  bool pop_rotating(Worker& self, Item& out);
-  bool steal_lanes(Worker& victim, Worker& thief, int thief_wid, Item& out);
-  bool steal_inbox(Worker& victim, int thief_wid, Item& out);
-  void push_inbox(Worker& w, const Item* items, std::size_t n);
-  void push_local(Worker& self, Submission* sub, Item item);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;

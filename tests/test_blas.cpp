@@ -250,18 +250,6 @@ TYPED_TEST(BlasTyped, GemvBothOps) {
   }
 }
 
-TYPED_TEST(BlasTyped, GerRankOneUpdate) {
-  using T = TypeParam;
-  Matrix<T> a(3, 2);
-  std::vector<T> x{T(1), T(2), T(3)};
-  std::vector<T> y{T(4), T(5)};
-  blas::ger(T(2), x.data(), y.data(), a.view());
-  for (int j = 0; j < 2; ++j)
-    for (int i = 0; i < 3; ++i)
-      EXPECT_LE(std::abs(a(i, j) - T(2) * x[size_t(i)] * conj_if_complex(y[size_t(j)])),
-                this->tol());
-}
-
 TYPED_TEST(BlasTyped, VectorHelpers) {
   using T = TypeParam;
   std::vector<T> x{T(3), T(4)};

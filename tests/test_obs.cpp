@@ -17,6 +17,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -813,8 +814,12 @@ TEST(ObsSmoke, TracedFactorizationExportsLoadableChromeTrace) {
   const std::size_t recorded = guard.tracer.event_count();
   EXPECT_GT(recorded, 0u);
 
-  guard.tracer.export_chrome_json("trace_ci.json");
-  std::ifstream in("trace_ci.json");
+  // Exported under a per-process name and renamed onto trace_ci.json only
+  // once validated: a same-directory rename replaces the file atomically, so
+  // concurrent test_obs runs never read each other's half-written trace.
+  const std::string path = "trace_ci.json." + std::to_string(getpid());
+  guard.tracer.export_chrome_json(path);
+  std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
@@ -849,6 +854,7 @@ TEST(ObsSmoke, TracedFactorizationExportsLoadableChromeTrace) {
   EXPECT_GT(report.utilization, 0.0);
   EXPECT_LE(report.utilization, 1.0 + 1e-9);
   EXPECT_FALSE(obs::format_schedule_report(report).empty());
+  std::filesystem::rename(path, "trace_ci.json");
 }
 
 TEST(ObsSmoke, LiveKernelProfileFeedsScheduleReportModel) {

@@ -45,6 +45,15 @@ dag::TaskGraph fanout_graph(int width) {
   return g;
 }
 
+/// A single free-standing task; the smallest graftable component.
+dag::TaskGraph one_task_graph() {
+  dag::TaskGraph g;
+  g.p = 1;
+  g.q = 1;
+  g.tasks.push_back(dag::Task{kernels::KernelKind::GEQRT, 0, -1, 0, -1, 0, {}});
+  return g;
+}
+
 TEST(ThreadPool, ReusedAcrossManyGraphs) {
   ThreadPool pool(4);
   auto g = qr_graph(8, 4);
@@ -81,6 +90,86 @@ TEST(ThreadPool, RespectsDependencies) {
     done[size_t(t)].store(true);
   });
   EXPECT_FALSE(violation.load());
+}
+
+TEST(ThreadPool, OwnerPopsMostUrgentFirstThievesTakeLeastUrgent) {
+  // The ready-set order, made deterministic with gates. Keys are distinct
+  // and scrambled (7 is coprime to kN), so neither index order matches.
+  constexpr int kN = 11;
+  auto scrambled = [](int i) { return long((i * 7) % kN) + 1; };
+  std::mutex mu;
+  std::vector<std::int32_t> order;
+  auto record = [&](std::int32_t t) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(t);
+  };
+  std::atomic<bool> release{false};
+  auto wait_for_release = [&] {
+    while (!release.load()) std::this_thread::yield();
+  };
+
+  // One worker, held in a gate while kN independent sources are dealt to it:
+  // the owner pops them most urgent first.
+  {
+    ThreadPool pool(1);
+    const auto gate_graph = one_task_graph();
+    std::atomic<bool> gated{false};
+    auto gate = pool.submit(gate_graph, [&](std::int32_t) {
+      gated.store(true);
+      wait_for_release();
+    });
+    while (!gated.load()) std::this_thread::yield();
+    dag::TaskGraph g;
+    std::vector<long> keys;
+    for (int i = 0; i < kN; ++i) {
+      g.tasks.push_back(dag::Task{kernels::KernelKind::GEQRT, i, -1, 0, -1, 0, {}});
+      keys.push_back(scrambled(i));
+    }
+    auto sources = pool.submit(g, record, SchedulePriority::CriticalPath, 0, nullptr, &keys);
+    release.store(true);
+    gate.get();
+    sources.get();
+    ASSERT_EQ(order.size(), size_t(kN));
+    for (size_t i = 1; i < order.size(); ++i)
+      EXPECT_GT(keys[size_t(order[i - 1])], keys[size_t(order[i])]) << "position " << i;
+  }
+
+  // Two workers. Task 0 enables the gate (task 1, the most urgent) and kN
+  // leaves at once, so the worker that ran it pops the gate and holds the
+  // leaves in its ready set. The other worker steals them one by one, least
+  // urgent first; the gate opens only after every leaf has run.
+  order.clear();
+  release.store(false);
+  ThreadPool pool(2);
+  dag::TaskGraph g;
+  std::vector<long> keys{0, 1000};
+  g.tasks.push_back(dag::Task{kernels::KernelKind::GEQRT, 0, -1, 0, -1, 0, {}});
+  for (int i = 0; i <= kN; ++i) {
+    g.tasks.push_back(dag::Task{kernels::KernelKind::GEQRT, i + 1, -1, 0, -1, 1, {}});
+    g.tasks[0].succ.push_back(std::int32_t(i + 1));
+    if (i > 0) keys.push_back(scrambled(i - 1));
+  }
+  auto run = pool.submit(
+      g,
+      [&](std::int32_t t) {
+        if (t == 1)
+          wait_for_release();
+        else if (t > 1)
+          record(t);
+      },
+      SchedulePriority::CriticalPath, 0, nullptr, &keys);
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (order.size() == size_t(kN)) break;
+    }
+    std::this_thread::yield();
+  }
+  release.store(true);
+  run.get();
+  for (size_t i = 1; i < order.size(); ++i)
+    EXPECT_LT(keys[size_t(order[i - 1])], keys[size_t(order[i])]) << "position " << i;
+  EXPECT_GE(pool.stats().tasks_stolen, kN);
 }
 
 TEST(ThreadPool, CappedSubmissionConfinedToWorkerSubset) {
@@ -386,15 +475,6 @@ TEST(ThreadPoolStream, OpenIdleStreamDoesNotBlockPoolDestructor) {
   // return (an open, idle stream holds no in-flight work).
   pool.reset();
   EXPECT_EQ(count.load(), long(g.tasks.size()));
-}
-
-/// A single free-standing task; the smallest graftable component.
-dag::TaskGraph one_task_graph() {
-  dag::TaskGraph g;
-  g.p = 1;
-  g.q = 1;
-  g.tasks.push_back(dag::Task{kernels::KernelKind::GEQRT, 0, -1, 0, -1, 0, {}});
-  return g;
 }
 
 TEST(ThreadPoolStream, TwoStreamsInterleaveFairly) {
