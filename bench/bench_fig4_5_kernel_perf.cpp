@@ -12,6 +12,7 @@
 #include <complex>
 #include <cstdlib>
 #include <fstream>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "blas/simd/simd.hpp"
@@ -100,6 +101,11 @@ void simd_tier_section(const bench::Knobs& knobs) {
   const double tsmqr_x = best.of(KernelKind::TSMQR) / base.of(KernelKind::TSMQR);
   std::ofstream out(json_path);
   out << "{\n  \"bench\": \"fig4_5_simd_tiers\",\n";
+  // The host: each kernel call runs on one worker thread.
+  out << stringf("  \"host\": {\"hardware_threads\": %u, \"worker_threads\": 1, "
+                 "\"widest_tier\": \"%s\"},\n",
+                 std::thread::hardware_concurrency(),
+                 simd::tier_name(simd::best_available_tier()));
   out << stringf("  \"precision\": \"double\", \"nb\": %d, \"ib\": %d, \"reps\": %d,\n", nb, ib,
                  reps);
   out << "  \"tiers\": [\n";

@@ -42,17 +42,6 @@ template <typename T>
 void gemm(Op opa, Op opb, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
           ConstMatrixView<std::type_identity_t<T>> b, T beta, MatrixView<T> c);
 
-/// B := alpha * op(A) * B with A triangular.
-template <typename T>
-void trmm(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
-          MatrixView<T> b);
-
-/// C := C + alpha * op(A) * B with A triangular (multiply-accumulate variant
-/// used by the TT kernels to exploit triangular structure).
-template <typename T>
-void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_identity_t<T>> a,
-              ConstMatrixView<std::type_identity_t<T>> b, MatrixView<T> c);
-
 /// Solves op(A) * X = alpha * B with A triangular; X overwrites B.
 template <typename T>
 void trsm(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<std::type_identity_t<T>> a,

@@ -6,11 +6,15 @@
 // register-blocked GEMM body (op(A) packed into row panels, FMA where the host
 // has it). Complex scalars keep the generic loops: the NoTrans x NoTrans path
 // processes four result columns per sweep over A so each A column is loaded
-// once per four C columns; the inner loops are stride-1 and auto-vectorize.
+// once per four C columns, and the transposed path runs the blocked dots of
+// blas/dot_block.hpp. Their multiply-adds go through madd (matrix/scalar.hpp),
+// which writes the complex product out in real arithmetic, so the stride-1
+// inner loops auto-vectorize.
 #pragma once
 
 #include <type_traits>
 
+#include "blas/dot_block.hpp"
 #include "blas/simd/simd.hpp"
 #include "common/error.hpp"
 
@@ -44,10 +48,10 @@ void gemm_nn(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> 
       const T b3 = alpha * b(l, j + 3);
       for (std::int64_t i = 0; i < m; ++i) {
         const T av = al[i];
-        c0[i] += b0 * av;
-        c1[i] += b1 * av;
-        c2[i] += b2 * av;
-        c3[i] += b3 * av;
+        madd(c0[i], b0, av);
+        madd(c1[i], b1, av);
+        madd(c2[i], b2, av);
+        madd(c3[i], b3, av);
       }
     }
   }
@@ -56,7 +60,7 @@ void gemm_nn(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> 
     for (std::int64_t l = 0; l < k; ++l) {
       const T bl = alpha * b(l, j);
       const T* al = a.col(l);
-      for (std::int64_t i = 0; i < m; ++i) cj[i] += bl * al[i];
+      for (std::int64_t i = 0; i < m; ++i) madd(cj[i], bl, al[i]);
     }
   }
 }
@@ -69,27 +73,15 @@ void gemm_tn(Op opa, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, Matrix
   const std::int64_t k = a.rows();
   // For real scalars Trans and ConjTrans coincide, so every transposed-A
   // path takes the table's transposed GEMM (packed A^T on the vector tiers).
-  // Complex scalars keep dot products over contiguous columns of A and B.
+  // Complex scalars take blocked dots over contiguous columns of A and B.
   if constexpr (std::is_same_v<T, double>) {
     simd::ops().dgemm_tn(m, n, k, alpha, a.data(), a.ld(), b.data(), b.ld(), c.data(), c.ld());
-    return;
   } else if constexpr (std::is_same_v<T, float>) {
     simd::ops().sgemm_tn(m, n, k, alpha, a.data(), a.ld(), b.data(), b.ld(), c.data(), c.ld());
-    return;
-  }
-  const bool conj = (opa == Op::ConjTrans) && is_complex_v<T>;
-  for (std::int64_t j = 0; j < n; ++j) {
-    const T* bj = b.col(j);
-    for (std::int64_t i = 0; i < m; ++i) {
-      const T* ai = a.col(i);
-      T acc = T(0);
-      if (conj) {
-        for (std::int64_t l = 0; l < k; ++l) acc += conj_if_complex(ai[l]) * bj[l];
-      } else {
-        for (std::int64_t l = 0; l < k; ++l) acc += ai[l] * bj[l];
-      }
-      c(i, j) += alpha * acc;
-    }
+  } else if (opa == Op::ConjTrans) {
+    gemm_tn_dots<true>(m, n, k, alpha, a.data(), a.ld(), b.data(), b.ld(), c.data(), c.ld());
+  } else {
+    gemm_tn_dots<false>(m, n, k, alpha, a.data(), a.ld(), b.data(), b.ld(), c.data(), c.ld());
   }
 }
 
@@ -168,33 +160,21 @@ void gemv(Op opa, T alpha, ConstMatrixView<std::type_identity_t<T>> a, const T* 
   // BLAS semantics: beta == 0 OVERWRITES y — it must not read it, or NaN/Inf
   // in an uninitialized output buffer would survive the scaling (0 * NaN is
   // NaN, not 0).
+  const std::int64_t ny = opa == Op::NoTrans ? m : n;
+  if (beta == T(0)) {
+    for (std::int64_t i = 0; i < ny; ++i) y[i] = T(0);
+  } else if (beta != T(1)) {
+    scal(ny, beta, y);
+  }
   if (opa == Op::NoTrans) {
-    if (beta == T(0)) {
-      for (std::int64_t i = 0; i < m; ++i) y[i] = T(0);
-    } else if (beta != T(1)) {
-      scal(m, beta, y);
-    }
     for (std::int64_t l = 0; l < n; ++l) axpy(m, alpha * x[l], a.col(l), y);
-  } else if constexpr (!is_complex_v<T>) {
-    // Real transpose path: scale/clear y, then batch the column dots through
-    // the shared-x microkernel (x loaded once per four columns of A).
-    if (beta == T(0)) {
-      for (std::int64_t j = 0; j < n; ++j) y[j] = T(0);
-    } else if (beta != T(1)) {
-      scal(n, beta, y);
-    }
+  } else if (opa == Op::ConjTrans || !is_complex_v<T>) {
+    // Column dots batched against the shared x (x loaded once per four
+    // columns of A on the vector tiers).
     gemv_t_acc(m, n, alpha, a.data(), a.ld(), x, y);
-  } else {
-    for (std::int64_t j = 0; j < n; ++j) {
-      T acc = T(0);
-      const T* aj = a.col(j);
-      if (opa == Op::ConjTrans) {
-        acc = dotc(m, aj, x);
-      } else {
-        for (std::int64_t i = 0; i < m; ++i) acc += aj[i] * x[i];
-      }
-      y[j] = beta == T(0) ? alpha * acc : beta * y[j] + alpha * acc;
-    }
+  } else if constexpr (is_complex_v<T>) {
+    // gemv_t_acc conjugates A's columns; complex Trans takes plain dots.
+    gemm_tn_dots<false>(n, 1, m, alpha, a.data(), a.ld(), x, m, y, n);
   }
 }
 

@@ -1,9 +1,12 @@
 // Scalar baseline tier: plain loops, compiled with the library's default
 // flags only (no -m ISA options), so TILEDQR_SIMD=scalar reproduces the
 // portable build's arithmetic exactly on every host. This is the reference
-// the dispatch-equivalence tests compare the vector tiers against.
+// the dispatch-equivalence tests compare the vector tiers against. The
+// transposed products (gemm_tn, gemv_t) run as blocked dots
+// (blas/dot_block.hpp): each result is still one dot in ascending order.
 #include <cstdint>
 
+#include "blas/dot_block.hpp"
 #include "blas/simd/simd_tables.hpp"
 
 namespace tiledqr::blas::simd {
@@ -58,26 +61,12 @@ void gemm_nn_s(std::int64_t m, std::int64_t n, std::int64_t k, S alpha, const S*
   }
 }
 
-template <typename S>
-void gemm_tn_s(std::int64_t m, std::int64_t n, std::int64_t k, S alpha, const S* a,
-               std::int64_t lda, const S* b, std::int64_t ldb, S* c, std::int64_t ldc) {
-  for (std::int64_t j = 0; j < n; ++j) {
-    const S* bj = b + j * ldb;
-    for (std::int64_t i = 0; i < m; ++i) {
-      const S* ai = a + i * lda;
-      S acc = S(0);
-      for (std::int64_t l = 0; l < k; ++l) acc += ai[l] * bj[l];
-      c[i + j * ldc] += alpha * acc;
-    }
-  }
-}
-
-/// One dot per column, plain loops — the arithmetic order the unblocked
-/// panel code had before the shared-x blocking existed.
+/// One dot per column in ascending order, as a plain dot loop sums it
+/// (gemm_tn_dots with one column of B runs four of them side by side).
 template <typename S>
 void gemv_t_s(std::int64_t m, std::int64_t n, S alpha, const S* a, std::int64_t lda,
               const S* x, S* y) noexcept {
-  for (std::int64_t j = 0; j < n; ++j) y[j] += alpha * dot_s(m, a + j * lda, x);
+  gemm_tn_dots<false>(n, 1, m, alpha, a, lda, x, m, y, n);
 }
 
 template <typename S>
@@ -111,12 +100,12 @@ void sgemm_nn_(std::int64_t m, std::int64_t n, std::int64_t k, float alpha, cons
 void dgemm_tn_(std::int64_t m, std::int64_t n, std::int64_t k, double alpha, const double* a,
                std::int64_t lda, const double* b, std::int64_t ldb, double* c,
                std::int64_t ldc) {
-  gemm_tn_s(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+  gemm_tn_dots<false>(m, n, k, alpha, a, lda, b, ldb, c, ldc);
 }
 void sgemm_tn_(std::int64_t m, std::int64_t n, std::int64_t k, float alpha, const float* a,
                std::int64_t lda, const float* b, std::int64_t ldb, float* c,
                std::int64_t ldc) {
-  gemm_tn_s(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+  gemm_tn_dots<false>(m, n, k, alpha, a, lda, b, ldb, c, ldc);
 }
 void dgemv_t_(std::int64_t m, std::int64_t n, double alpha, const double* a, std::int64_t lda,
               const double* x, double* y) noexcept {

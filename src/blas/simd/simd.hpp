@@ -63,15 +63,17 @@ struct Ops {
 
   /// y[j] += alpha * dot(a(:,j), x) over n columns of length m: transposed
   /// gemv with x shared across every column, so the vector tiers load x once
-  /// per four columns. The unblocked panel factorizations (geqr2, larft) are
-  /// sequences of exactly this shape.
+  /// per four columns. The unblocked panel factorizations (geqr2, the
+  /// TSQRT/TTQRT column step, larft and TSQRT's T columns) are sequences of
+  /// exactly this shape.
   void (*dgemv_t)(std::int64_t m, std::int64_t n, double alpha, const double* a,
                   std::int64_t lda, const double* x, double* y) noexcept;
   void (*sgemv_t)(std::int64_t m, std::int64_t n, float alpha, const float* a,
                   std::int64_t lda, const float* x, float* y) noexcept;
 
   /// c(:,j) += alpha * y[j] * x over n columns: rank-1 update with x shared
-  /// across every column (the reflector-application half of geqr2).
+  /// across every column (the reflector-application half of geqr2 and of the
+  /// TSQRT/TTQRT column step).
   void (*dger)(std::int64_t m, std::int64_t n, double alpha, const double* x, const double* y,
                double* c, std::int64_t ldc) noexcept;
   void (*sger)(std::int64_t m, std::int64_t n, float alpha, const float* x, const float* y,

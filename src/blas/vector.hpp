@@ -2,9 +2,10 @@
 //
 // For real scalars, axpy and dotc route through the runtime-dispatched SIMD
 // microkernel table (blas/simd/simd.hpp); complex scalars keep the generic
-// loops. These two primitives carry the panel factorizations (geqr2, the
-// TSQRT/TTQRT column sweeps) and the triangular substrate, so the dispatch
-// here is what vectorizes the non-GEMM half of every tile kernel.
+// loops, on madd (matrix/scalar.hpp). These primitives carry the panel
+// factorizations (geqr2, the TSQRT/TTQRT column steps, the T-column
+// recurrences), so the dispatch here is what vectorizes the non-GEMM part of
+// every tile kernel.
 #pragma once
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <limits>
 #include <type_traits>
 
+#include "blas/dot_block.hpp"
 #include "blas/simd/simd.hpp"
 #include "matrix/scalar.hpp"
 
@@ -25,7 +27,7 @@ inline void axpy(std::int64_t n, T alpha, const T* x, T* y) noexcept {
   } else if constexpr (std::is_same_v<T, float>) {
     simd::ops().saxpy(n, alpha, x, y);
   } else {
-    for (std::int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+    for (std::int64_t i = 0; i < n; ++i) madd(y[i], alpha, x[i]);
   }
 }
 
@@ -44,7 +46,7 @@ template <typename T>
     return simd::ops().sdot(n, x, y);
   } else {
     T acc = T(0);
-    for (std::int64_t i = 0; i < n; ++i) acc += conj_if_complex(x[i]) * y[i];
+    for (std::int64_t i = 0; i < n; ++i) madd<true>(acc, x[i], y[i]);
     return acc;
   }
 }
@@ -61,12 +63,7 @@ inline void gemv_t_acc(std::int64_t m, std::int64_t n, T alpha, const T* a, std:
   } else if constexpr (std::is_same_v<T, float>) {
     simd::ops().sgemv_t(m, n, alpha, a, lda, x, y);
   } else {
-    for (std::int64_t j = 0; j < n; ++j) {
-      const T* aj = a + j * lda;
-      T acc = T(0);
-      for (std::int64_t i = 0; i < m; ++i) acc += conj_if_complex(aj[i]) * x[i];
-      y[j] += alpha * acc;
-    }
+    gemm_tn_dots<true>(n, 1, m, alpha, a, lda, x, m, y, n);
   }
 }
 

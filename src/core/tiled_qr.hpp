@@ -18,6 +18,7 @@
 // (LAPACK xORMQR/xORMLQ-style).
 #pragma once
 
+#include <cmath>
 #include <optional>
 #include <string>
 #include <utility>
@@ -407,6 +408,7 @@ class TiledQr {
     copy(b, ypad.sub(0, 0, m, b.cols()));
     Matrix<T> l = l_factor();
     auto head = ypad.sub(0, 0, m, b.cols());
+    check_solvable(l.sub(0, 0, m, m), "L");
     blas::trsm(blas::Uplo::Lower, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
                l.sub(0, 0, m, m), head);
     return TileMatrix<T>::operand(ConstMatrixView<T>(ypad.view()), a_.nb());
@@ -420,6 +422,7 @@ class TiledQr {
     Matrix<T> x(n, c.n());
     for (std::int64_t j = 0; j < c.n(); ++j) c.read_column(j, 0, n, x.view().col(j));
     Matrix<T> r = r_factor();
+    check_solvable(r.sub(0, 0, n, n), "R");
     blas::trsm(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
                r.sub(0, 0, n, n), x.view());
     return x;
@@ -427,7 +430,9 @@ class TiledQr {
 
   /// Least squares: min_x || A x - b ||_2 for tall A (m >= n), or the
   /// minimum-norm solution of A x = b for wide A (m < n); b is m x nrhs.
-  /// nrhs == 0 is a valid degenerate system (the answer is n x 0).
+  /// nrhs == 0 is a valid degenerate system (the answer is n x 0). Throws
+  /// Error naming the entry when a diagonal entry of R (or L) is zero or not
+  /// finite, instead of returning Inf or NaN.
   [[nodiscard]] Matrix<T> solve_least_squares(ConstMatrixView<T> b) const {
     TILEDQR_CHECK(b.rows() == a_.m(), "solve_least_squares: rhs row mismatch");
     if (b.cols() == 0) return Matrix<T>(a_.n(), 0);
@@ -460,6 +465,22 @@ class TiledQr {
   }
   [[nodiscard]] int reduction_q() const noexcept {
     return kind_ == kernels::FactorKind::LQ ? a_.mt() : a_.nt();
+  }
+
+  /// Rejects a solve whose triangular factor (R, or L for the minimum-norm
+  /// solve) has a zero or non-finite diagonal entry: A is rank-deficient or
+  /// holds Inf/NaN, and trsm would divide by it and return Inf or NaN.
+  static void check_solvable(ConstMatrixView<T> tri, const char* name) {
+    for (std::int64_t i = 0; i < tri.rows(); ++i) {
+      const T d = tri(i, i);
+      const bool finite = std::isfinite(ScalarTraits<T>::real(d)) &&
+                          std::isfinite(ScalarTraits<T>::imag(d));
+      TILEDQR_CHECK(finite && d != T(0),
+                    std::string("solve: ") + name + "(" + std::to_string(i) + ", " +
+                        std::to_string(i) + ") is " +
+                        (finite ? "zero (A is rank-deficient)"
+                                : "not finite (A holds Inf or NaN)"));
+    }
   }
 
   /// Rejects an op(Q) operand whose rows do not match the factorization: m

@@ -7,7 +7,10 @@
 //   A QR factorization accumulates Q = H_1 H_2 ... H_k; block reflectors are
 //   Q_blk = I - V T V^H with T upper triangular (larft, forward columnwise).
 //
-//   Applying Q^H uses T^H, applying Q uses T (larfb, left).
+// Applying a block reflector is not here: one apply body in tile_kernels.hpp
+// (detail::apply_block) serves GEQRT's unit-lower V and the TS/TT pairs, all
+// through the packed GEMM. It reads T as a dense sb x sb block, so larft
+// writes explicit zeros below T's diagonal.
 #pragma once
 
 #include <cmath>
@@ -89,18 +92,13 @@ void geqr2(MatrixView<T> a, T* tau, T* work) {
       a(i, i) = T(1);
       const T* v = &a(i, i);
       auto c = a.sub(i, i + 1, m - i, n - i - 1);
-      // w_j = v^H C(:,j); then C(:,j) -= conj(tau) * w_j * v. Real scalars
-      // take the shared-x microkernels (v loaded once per four columns);
-      // complex keeps per-column dotc because the conjugation is on v.
-      if constexpr (!is_complex_v<T>) {
-        for (std::int64_t j = 0; j < c.cols(); ++j) work[j] = T(0);
-        blas::gemv_t_acc(c.rows(), c.cols(), T(1), c.data(), c.ld(), v, work);
-        blas::ger_acc(c.rows(), c.cols(), -tau[i], v, work, c.data(), c.ld());
-      } else {
-        for (std::int64_t j = 0; j < c.cols(); ++j) work[j] = blas::dotc(c.rows(), v, c.col(j));
-        for (std::int64_t j = 0; j < c.cols(); ++j)
-          blas::axpy(c.rows(), -conj_if_complex(tau[i]) * work[j], v, c.col(j));
-      }
+      // w_j = v^H C(:,j); then C(:,j) -= conj(tau) * w_j * v, through the
+      // shared-x microkernels (v loaded once per four columns). gemv_t_acc
+      // conjugates C's columns, so it sums conj(w_j).
+      for (std::int64_t j = 0; j < c.cols(); ++j) work[j] = T(0);
+      blas::gemv_t_acc(c.rows(), c.cols(), T(1), c.data(), c.ld(), v, work);
+      for (std::int64_t j = 0; j < c.cols(); ++j) work[j] = conj_if_complex(work[j]);
+      blas::ger_acc(c.rows(), c.cols(), -conj_if_complex(tau[i]), v, work, c.data(), c.ld());
       a(i, i) = alpha;
     }
   }
@@ -109,87 +107,43 @@ void geqr2(MatrixView<T> a, T* tau, T* work) {
 /// Forms the upper-triangular block factor T (k x k) of the compact WY
 /// representation from reflectors V (m x k, unit lower trapezoidal) and tau,
 /// such that H_1 ... H_k = I - V T V^H (LAPACK larft, forward columnwise).
+/// T's strictly-lower part is written with zeros, so the apply body can
+/// multiply by T as a dense block. Only V's strictly-lower part is read.
 template <typename T>
 void larft(ConstMatrixView<T> v, const T* tau, MatrixView<T> t) {
   const std::int64_t m = v.rows();
   const std::int64_t k = v.cols();
   TILEDQR_ASSERT(t.rows() >= k && t.cols() >= k);
   for (std::int64_t i = 0; i < k; ++i) {
+    T* ti = t.col(i);
+    for (std::int64_t j = i + 1; j < k; ++j) ti[j] = T(0);
     if (tau[i] == T(0)) {
-      for (std::int64_t j = 0; j <= i; ++j) t(j, i) = T(0);
+      for (std::int64_t j = 0; j <= i; ++j) ti[j] = T(0);
       continue;
     }
     // t(0:i, i) = -tau_i * V(:,0:i)^H * v_i, exploiting the unit diagonal:
-    // v_i has implicit 1 at row i, explicit tail below; the tails are
-    // contiguous column segments, so the sum is a dotc. Real scalars batch
-    // the i dots through the shared-x microkernel (v_i's tail loaded once
-    // per four columns of V).
-    if constexpr (!is_complex_v<T>) {
-      for (std::int64_t j = 0; j < i; ++j) t(j, i) = v(i, j);  // implicit v_i(i) = 1
-      if (i > 0 && m > i + 1)
-        blas::gemv_t_acc(m - i - 1, i, T(1), &v(i + 1, 0), v.ld(), &v(i + 1, i), &t(0, i));
-      for (std::int64_t j = 0; j < i; ++j) t(j, i) *= -tau[i];
-    } else {
-      for (std::int64_t j = 0; j < i; ++j) {
-        // Row i of column j is explicit (j < i so V(i,j) is below V's
-        // diagonal).
-        // Tails via col() pointers: when i + 1 == m the tail is empty and
-        // &v(i + 1, j) would index one past the view.
-        T acc = conj_if_complex(v(i, j)) +  // from the implicit v_i(i) = 1
-                blas::dotc(m - i - 1, v.col(j) + i + 1, v.col(i) + i + 1);
-        t(j, i) = -tau[i] * acc;
-      }
+    // v_i has implicit 1 at row i (row i of column j < i is explicit, below
+    // V's diagonal) and a contiguous explicit tail below, so the sum is one
+    // shared-x gemv over the tails (v_i's tail loaded once per four columns
+    // of V). The tail is addressed via col() pointers: when i + 1 == m it is
+    // empty and &v(i + 1, j) would index past the view.
+    for (std::int64_t j = 0; j < i; ++j) ti[j] = conj_if_complex(v(i, j));
+    if (i > 0 && m > i + 1)
+      blas::gemv_t_acc(m - i - 1, i, T(1), v.col(0) + i + 1, v.ld(), v.col(i) + i + 1, ti);
+    for (std::int64_t j = 0; j < i; ++j) ti[j] *= -tau[i];
+    // t(0:i, i) = T(0:i,0:i) * t(0:i, i) in axpy form over the columns of T:
+    // step l still holds the pre-multiply t(l, i), which seeds the axpy into
+    // rows [0, l) and then collapses to the diagonal term.
+    for (std::int64_t l = 0; l < i; ++l) {
+      const T coef = ti[l];
+      blas::axpy(l, coef, t.col(l), ti);
+      ti[l] = t(l, l) * coef;
     }
-    // t(0:i, i) = T(0:i,0:i) * t(0:i, i)
-    if (i > 0) {
-      auto tcol = MatrixView<T>(&t(0, i), i, 1, t.ld());
-      blas::trmm(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
-                 t.sub(0, 0, i, i), tcol);
-    }
-    t(i, i) = tau[i];
+    ti[i] = tau[i];
   }
 }
 
 /// Whether a block application multiplies by Q or by Q^H.
 enum class ApplyTrans { NoTrans, ConjTrans };
-
-/// Applies a compact-WY block reflector from the left (LAPACK larfb,
-/// direction forward, storage columnwise):
-///   C := (I - V op(T) V^H)^{(H)} C
-/// with V (m x k) unit lower trapezoidal and T (k x k) upper triangular.
-/// `work` must hold k * C.cols() entries.
-template <typename T>
-void larfb_left(ApplyTrans trans, ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
-                T* work) {
-  const std::int64_t m = v.rows();
-  const std::int64_t k = v.cols();
-  const std::int64_t n = c.cols();
-  TILEDQR_ASSERT(c.rows() == m);
-  if (m == 0 || n == 0 || k == 0) return;
-
-  MatrixView<T> w(work, k, n, k);
-  auto c1 = c.sub(0, 0, k, n);
-  auto c2 = c.sub(k, 0, m - k, n);
-  auto v1 = v.sub(0, 0, k, k);
-  auto v2 = v.sub(k, 0, m - k, k);
-
-  // W := V^H C = V1^H C1 + V2^H C2
-  copy(ConstMatrixView<T>(c1), w);
-  blas::trmm(blas::Uplo::Lower, blas::Op::ConjTrans, blas::Diag::Unit, T(1), v1, w);
-  if (m > k)
-    blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), v2, ConstMatrixView<T>(c2), T(1), w);
-
-  // W := op(T) W
-  blas::trmm(blas::Uplo::Upper,
-             trans == ApplyTrans::ConjTrans ? blas::Op::ConjTrans : blas::Op::NoTrans,
-             blas::Diag::NonUnit, T(1), t, w);
-
-  // C -= V W
-  if (m > k)
-    blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), v2, ConstMatrixView<T>(w), T(1), c2);
-  // C1 -= V1 W (V1 unit lower triangular): accumulate via trmm_acc.
-  blas::trmm_acc(blas::Uplo::Lower, blas::Op::NoTrans, blas::Diag::Unit, T(-1), v1,
-                 ConstMatrixView<T>(w), c1);
-}
 
 }  // namespace tiledqr::kernels

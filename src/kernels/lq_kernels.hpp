@@ -24,8 +24,8 @@
 // (which rewrites a tile's L triangle) concurrently with UNMLQ tasks (which
 // read the same tile's strictly-upper row reflectors) — the same disjoint-
 // region parallelism the QR kernels rely on, where tsqrt/ttqrt touch only the
-// upper triangles and larft/larfb_left read only strictly below the unit
-// diagonal. A whole-tile adjoint in either wrapper would turn those disjoint
+// upper triangles and larft and UNMQR's apply_block read only strictly below
+// the unit diagonal. A whole-tile adjoint in either wrapper would turn those disjoint
 // element sets into a data race.
 #pragma once
 

@@ -8,15 +8,29 @@
 //   TTQRT  zero a triangular tile against a triangle       (weight 2)
 //   TTMQR  apply a TTQRT transformation to a tile pair     (weight 6)
 //
-// Weights are in units of nb^3/3 flops. Two block-apply bodies serve the
-// three reflector shapes: larfb_left (householder.hpp) for GEQRT's unit-lower
-// tiles, and detail::tp_apply_block for the TS and TT pairs. Those pairs run
-// one elimination (LAPACK's triangular-pentagonal xTPQRT/xTPMQRT) and differ
-// only in the support rule: the tail of reflector c reaches all m2 rows of
-// the zeroed tile for TS, and rows 0..c for TT, whose tails stopping at a
-// triangle are the TT kernels' 2x flop advantage. detail::tpqrt factors both
-// pairs; TSMQR and TTMQR loop tp_apply_block over the ib-blocks, and TSQRT
-// and TTQRT call it on their trailing columns after each panel.
+// Weights are in units of nb^3/3 flops. One block-apply body,
+// detail::apply_block, serves all three reflector shapes: it applies
+// [c1; c2] := op(I - V T V^H) [c1; c2] for V = [V1; V2], with V1 the identity
+// (TS, TT) or GEQRT's unit-lower triangle, and V2 dense or, for TT, ending in
+// an upper triangle. Every product is a packed blas::gemm: each triangle is
+// first copied into one sb x sb zero-padded scratch, and T, read in place as
+// a dense block, multiplies into a second work block. UNMQR, TSMQR and TTMQR
+// loop it over the ib-blocks; GEQRT, TSQRT and TTQRT call it on their
+// trailing columns after each panel. The TS and TT pairs run one elimination
+// (LAPACK's triangular-pentagonal xTPQRT/xTPMQRT) and differ only in the
+// support rule: the tail of reflector c reaches all m2 rows of the zeroed
+// tile for TS, and rows 0..c for TT, whose tails stopping at a triangle are
+// the TT kernels' 2x flop advantage. detail::tpqrt factors both pairs.
+//
+// What each kernel reads is region-exact, which lets the DAG run kernels on
+// disjoint parts of one tile at once (and lq_kernels.hpp's adjoint copies
+// stay region-exact too):
+//  * UNMQR and GEQRT's trailing update read only the reflectors strictly
+//    below the tile diagonal, never R on and above it;
+//  * TTMQR reads only the zeroed tile's upper triangle (its tails), never
+//    the GEQRT reflectors below;
+//  * every apply reads sb x sb T blocks whole: larft and tpqrt write zeros
+//    below each block's diagonal, storage nothing else uses.
 //
 // Storage conventions (per tile, matching PLASMA):
 //  * after GEQRT, the tile holds R in its upper triangle and the unit-lower
@@ -41,8 +55,24 @@
 namespace tiledqr::kernels {
 
 namespace detail {
+/// Kernel scratch: aligned and left uninitialized (each user writes what it
+/// reads).
 template <typename T>
-using WorkVec = std::vector<T, AlignedAllocator<T>>;
+using WorkVec = std::vector<T, DefaultInitAllocator<T>>;
+
+/// Entries of apply_block's work for ib-blocks over nn columns: W = V^H C and
+/// op(T) W, both sb x nn, then the sb x sb triangle pad.
+inline std::size_t block_work(int ib, std::int64_t nn) noexcept {
+  return std::size_t(ib) * std::size_t(2 * nn + ib);
+}
+
+/// One kernel call's scratch, its only allocation: block_work(ib, nn) for
+/// apply_block (the factor kernels' panel steps borrow its head), then
+/// `ntau` entries for a factor kernel's reflector scalars.
+template <typename T>
+WorkVec<T> kernel_scratch(int ib, std::int64_t nn, std::int64_t ntau = 0) {
+  return WorkVec<T>(block_work(ib, nn) + std::size_t(ntau));
+}
 
 /// Calls f(i, sb) for each ib-wide block [i, i + sb) of k reflectors:
 /// ascending when applying Q^H, descending when applying Q
@@ -65,37 +95,66 @@ inline std::int64_t tail_rows(Tails tails, std::int64_t m2, std::int64_t c) noex
   return tails == Tails::Dense ? m2 : c + 1;
 }
 
-/// One ib-block of a TS/TT update: [c1; c2] := op(I - V tblk V^H) [c1; c2]
-/// with V = [I; v]. v holds the block's sb tails over the rows the last one
-/// reaches, and c2 the same rows of the lower tile. For trapezoidal tails the
-/// last sb rows of v are an upper triangle; all other rows are dense. `work`
-/// must hold sb * c1.cols() entries.
+/// The one block-apply body: [c1; c2] := op(I - V tblk V^H) [c1; c2] for an
+/// sb-column block reflector V = [V1; V2], every product a blas::gemm.
+///  - V1 (sb x sb) is GEQRT's unit-lower head, of which only the part
+///    strictly below v1's diagonal is read; an empty v1 stands for I (TS and
+///    TT, whose identity rows are implicit).
+///  - V2 = v2 is dense, except that for Tails::Trapezoid its last sb rows are
+///    an upper triangle (a TT tail) whose strictly-lower part is not read.
+///  - tblk is the sb x sb block factor, read as a dense block: upper
+///    triangular with explicit zeros below the diagonal, as larft and tpqrt
+///    write it.
+/// Each triangle is first copied into one zero-padded sb x sb scratch,
+/// reading only the elements the kernel owns; T and the dense rows of V2 are
+/// read in place. `work` holds block_work(sb, c1.cols()) entries.
 template <typename T>
-void tp_apply_block(ApplyTrans trans, Tails tails, ConstMatrixView<std::type_identity_t<T>> v,
-                    ConstMatrixView<std::type_identity_t<T>> tblk, MatrixView<T> c1,
-                    MatrixView<T> c2, T* work) {
-  const std::int64_t sb = v.cols();
+void apply_block(ApplyTrans trans, Tails tails, ConstMatrixView<std::type_identity_t<T>> v1,
+                 ConstMatrixView<std::type_identity_t<T>> v2,
+                 ConstMatrixView<std::type_identity_t<T>> tblk, MatrixView<T> c1,
+                 MatrixView<T> c2, T* work) {
+  using blas::Op;
+  const std::int64_t sb = v2.cols();
   const std::int64_t nn = c1.cols();
-  const std::int64_t dense = tails == Tails::Dense ? v.rows() : v.rows() - sb;
-  const auto vd = v.sub(0, 0, dense, sb);
+  const bool head = !v1.empty();
+  const bool trapezoid = tails == Tails::Trapezoid;
+  TILEDQR_ASSERT(!(head && trapezoid));
+  const std::int64_t dense = trapezoid ? v2.rows() - sb : v2.rows();
+  const auto vd = v2.sub(0, 0, dense, sb);
   const auto c2d = c2.sub(0, 0, dense, nn);
   MatrixView<T> w(work, sb, nn, sb);
-  // W := c1 + v^H c2
-  copy(c1, w);
-  if (dense > 0) blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), vd, c2d, T(1), w);
-  if (tails == Tails::Trapezoid)
-    blas::trmm_acc(blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit, T(1),
-                   v.sub(dense, 0, sb, sb), c2.sub(dense, 0, sb, nn), w);
-  // W := op(tblk) W
-  blas::trmm(blas::Uplo::Upper,
-             trans == ApplyTrans::ConjTrans ? blas::Op::ConjTrans : blas::Op::NoTrans,
-             blas::Diag::NonUnit, T(1), tblk, w);
-  // c1 -= W, c2 -= v W
-  blas::add(T(-1), w, c1);
-  if (dense > 0) blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), vd, w, T(1), c2d);
-  if (tails == Tails::Trapezoid)
-    blas::trmm_acc(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(-1),
-                   v.sub(dense, 0, sb, sb), w, c2.sub(dense, 0, sb, nn));
+  MatrixView<T> y(work + sb * nn, sb, nn, sb);
+  MatrixView<T> pad(work + 2 * sb * nn, sb, sb, sb);
+  // The triangle: V1's strictly-lower part, or the TT tail's upper triangle.
+  const auto tri = trapezoid ? v2.sub(dense, 0, sb, sb) : v1;
+  const auto c2t = c2.sub(dense, 0, trapezoid ? sb : 0, nn);
+  if (head || trapezoid) {
+    for (std::int64_t c = 0; c < sb; ++c) {
+      T* pc = pad.col(c);
+      const T* tc = tri.col(c);
+      if (trapezoid) {
+        for (std::int64_t r = 0; r <= c; ++r) pc[r] = tc[r];
+        for (std::int64_t r = c + 1; r < sb; ++r) pc[r] = T(0);
+      } else {
+        for (std::int64_t r = 0; r <= c; ++r) pc[r] = T(0);
+        for (std::int64_t r = c + 1; r < sb; ++r) pc[r] = tc[r];
+      }
+    }
+  }
+  // W := V^H C = V1^H c1 + V2^H c2, with V1 = I + pad for GEQRT's head, and
+  // for a TT tail V2's last sb rows in pad.
+  copy(ConstMatrixView<T>(c1), w);
+  if (head) blas::gemm(Op::ConjTrans, Op::NoTrans, T(1), pad, c1, T(1), w);
+  if (dense > 0) blas::gemm(Op::ConjTrans, Op::NoTrans, T(1), vd, c2d, T(1), w);
+  if (trapezoid) blas::gemm(Op::ConjTrans, Op::NoTrans, T(1), pad, c2t, T(1), w);
+  // Y := op(tblk) W
+  blas::gemm(trans == ApplyTrans::ConjTrans ? Op::ConjTrans : Op::NoTrans, Op::NoTrans, T(1),
+             tblk, w, T(0), y);
+  // C -= V Y
+  blas::add(T(-1), y, c1);
+  if (head) blas::gemm(Op::NoTrans, Op::NoTrans, T(-1), pad, y, T(1), c1);
+  if (dense > 0) blas::gemm(Op::NoTrans, Op::NoTrans, T(-1), vd, y, T(1), c2d);
+  if (trapezoid) blas::gemm(Op::NoTrans, Op::NoTrans, T(-1), pad, y, T(1), c2t);
 }
 
 /// TSQRT/TTQRT: QR of [R1; A2], where R1 is a1's upper triangle and column c
@@ -116,47 +175,67 @@ void tpqrt(Tails tails, int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T
   TILEDQR_CHECK(t.rows() >= std::min<std::int64_t>(ib, n) && t.cols() >= n,
                 std::string(name) + ": T too small");
 
-  WorkVec<T> tau(static_cast<size_t>(n));
-  WorkVec<T> work(size_t(ib) * size_t(n));
+  WorkVec<T> scratch = kernel_scratch<T>(ib, n, n);
+  T* const work = scratch.data();
+  T* const tau = work + block_work(ib, n);
 
   for (std::int64_t i = 0; i < n; i += ib) {
     const std::int64_t sb = std::min<std::int64_t>(ib, n - i);
-    // Factor the panel columns one by one.
+    // Factor the panel columns one by one; each reflector updates the
+    // panel's later columns over the rows it reaches, which every later
+    // column's support covers.
     for (std::int64_t j = 0; j < sb; ++j) {
       const std::int64_t ci = i + j;
       const std::int64_t len = tail_rows(tails, m2, ci);
+      const std::int64_t nc = sb - j - 1;
       larfg(a1(ci, ci), a2.col(ci), len, tau[ci]);
+      if (nc == 0) continue;
+      // w_jj = a1(ci, jj) + v2^H a2(0:len, jj); then a1(ci, jj) -= tau' w_jj
+      // and a2(0:len, jj) -= tau' w_jj v2 (tau' = conj(tau)), in geqr2's
+      // shared-x form (v2 loaded once per four columns). gemv_t_acc
+      // conjugates a2's columns, so it sums conj(w_jj) from conj(a1(ci, jj)).
       const T* v2 = a2.col(ci);
-      for (std::int64_t jj = ci + 1; jj < i + sb; ++jj) {
-        // w = a1(ci,jj) + v2^H a2(0:len,jj)
-        T w = a1(ci, jj) + blas::dotc(len, v2, a2.col(jj));
-        w *= conj_if_complex(tau[ci]);
-        a1(ci, jj) -= w;
-        blas::axpy(len, -w, v2, a2.col(jj));
+      T* const c2 = a2.col(ci + 1);
+      for (std::int64_t c = 0; c < nc; ++c) work[c] = conj_if_complex(a1(ci, ci + 1 + c));
+      blas::gemv_t_acc(len, nc, T(1), c2, a2.ld(), v2, work);
+      for (std::int64_t c = 0; c < nc; ++c) {
+        work[c] = conj_if_complex(work[c]) * conj_if_complex(tau[ci]);
+        a1(ci, ci + 1 + c) -= work[c];
       }
+      blas::ger_acc(len, nc, T(-1), v2, work, c2, a2.ld());
     }
-    // Form the sb x sb block factor: the identity parts of distinct
-    // reflectors are orthogonal, so only the tails contribute to V^H v_j.
-    // The dot product stops at the shorter tail: below a TT tail the tile
+    // Form the sb x sb block factor, zeros below its diagonal: the identity
+    // parts of distinct reflectors are orthogonal, so only the tails
+    // contribute to V^H v_j. TS tails all span m2 rows, one shared-x gemv;
+    // a TT dot stops at the shorter tail, since below a TT tail the tile
     // holds unrelated data (the GEQRT reflectors).
     auto tblk = t.sub(0, i, sb, sb);
     for (std::int64_t j = 0; j < sb; ++j) {
-      for (std::int64_t l = 0; l < j; ++l)
-        tblk(l, j) = -tau[i + j] *
-                     blas::dotc(tail_rows(tails, m2, i + l), a2.col(i + l), a2.col(i + j));
-      if (j > 0) {
-        auto tcol = MatrixView<T>(&tblk(0, j), j, 1, tblk.ld());
-        blas::trmm(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
-                   tblk.sub(0, 0, j, j), tcol);
+      T* const tj = tblk.col(j);
+      const T* vj = a2.col(i + j);
+      if (tails == Tails::Dense) {
+        for (std::int64_t l = 0; l < j; ++l) tj[l] = T(0);
+        blas::gemv_t_acc(m2, j, T(1), a2.col(i), a2.ld(), vj, tj);
+        for (std::int64_t l = 0; l < j; ++l) tj[l] *= -tau[i + j];
+      } else {
+        for (std::int64_t l = 0; l < j; ++l)
+          tj[l] = -tau[i + j] * blas::dotc(tail_rows(tails, m2, i + l), a2.col(i + l), vj);
       }
-      tblk(j, j) = tau[i + j];
+      // tj(0:j) = tblk(0:j, 0:j) tj(0:j), axpy form as in larft.
+      for (std::int64_t l = 0; l < j; ++l) {
+        const T coef = tj[l];
+        blas::axpy(l, coef, tblk.col(l), tj);
+        tj[l] = tblk(l, l) * coef;
+      }
+      tj[j] = tau[i + j];
+      for (std::int64_t l = j + 1; l < sb; ++l) tj[l] = T(0);
     }
     // Apply the panel's block reflector (Q^H) to the trailing columns.
     if (i + sb < n) {
       const std::int64_t rows = tail_rows(tails, m2, i + sb - 1);
       const std::int64_t nn = n - i - sb;
-      tp_apply_block(ApplyTrans::ConjTrans, tails, a2.sub(0, i, rows, sb), tblk,
-                     a1.sub(i, i + sb, sb, nn), a2.sub(0, i + sb, rows, nn), work.data());
+      apply_block(ApplyTrans::ConjTrans, tails, ConstMatrixView<T>(), a2.sub(0, i, rows, sb),
+                  tblk, a1.sub(i, i + sb, sb, nn), a2.sub(0, i + sb, rows, nn), work);
     }
   }
 }
@@ -178,11 +257,11 @@ void tpmqr(Tails tails, ApplyTrans trans, int ib, ConstMatrixView<std::type_iden
   TILEDQR_CHECK(t.rows() >= std::min<std::int64_t>(ib, k) && t.cols() >= k,
                 std::string(name) + ": T too small");
 
-  WorkVec<T> work(size_t(ib) * size_t(nn));
+  WorkVec<T> work = kernel_scratch<T>(ib, nn);
   for_each_block(trans, k, ib, [&](std::int64_t i, std::int64_t sb) {
     const std::int64_t rows = tail_rows(tails, m2, i + sb - 1);
-    tp_apply_block(trans, tails, v2.sub(0, i, rows, sb), t.sub(0, i, sb, sb),
-                   a1.sub(i, 0, sb, nn), a2.sub(0, 0, rows, nn), work.data());
+    apply_block(trans, tails, ConstMatrixView<T>(), v2.sub(0, i, rows, sb), t.sub(0, i, sb, sb),
+                a1.sub(i, 0, sb, nn), a2.sub(0, 0, rows, nn), work.data());
   });
 }
 }  // namespace detail
@@ -199,18 +278,21 @@ void geqrt(int ib, MatrixView<T> a, MatrixView<T> t) {
   TILEDQR_CHECK(t.rows() >= std::min<std::int64_t>(ib, k) && t.cols() >= k,
                 "geqrt: T too small");
 
-  detail::WorkVec<T> tau(static_cast<size_t>(k));
-  detail::WorkVec<T> work(size_t(ib) * size_t(n) + size_t(n));
+  detail::WorkVec<T> scratch = detail::kernel_scratch<T>(ib, n, k);
+  T* const work = scratch.data();
+  T* const tau = work + detail::block_work(ib, n);
 
   for (std::int64_t i = 0; i < k; i += ib) {
     const std::int64_t sb = std::min<std::int64_t>(ib, k - i);
     auto panel = a.sub(i, i, m - i, sb);
-    geqr2(panel, tau.data() + i, work.data());
+    geqr2(panel, tau + i, work);
     auto tblk = t.sub(0, i, sb, sb);
-    larft(ConstMatrixView<T>(panel), tau.data() + i, tblk);
+    larft(ConstMatrixView<T>(panel), tau + i, tblk);
     if (i + sb < n) {
-      larfb_left(ApplyTrans::ConjTrans, ConstMatrixView<T>(panel), ConstMatrixView<T>(tblk),
-                 a.sub(i, i + sb, m - i, n - i - sb), work.data());
+      const std::int64_t nn = n - i - sb;
+      detail::apply_block(ApplyTrans::ConjTrans, detail::Tails::Dense, panel.sub(0, 0, sb, sb),
+                          panel.sub(sb, 0, m - i - sb, sb), tblk, a.sub(i, i + sb, sb, nn),
+                          a.sub(i + sb, i + sb, m - i - sb, nn), work);
     }
   }
 }
@@ -225,10 +307,13 @@ void unmqr(ApplyTrans trans, int ib, ConstMatrixView<std::type_identity_t<T>> v,
   const std::int64_t k = std::min(m, v.cols());
   TILEDQR_CHECK(ib >= 1, "unmqr: ib must be >= 1");
   TILEDQR_CHECK(c.rows() == m, "unmqr: C row mismatch");
-  detail::WorkVec<T> work(size_t(ib) * size_t(c.cols()));
+  const std::int64_t nn = c.cols();
+  detail::WorkVec<T> work = detail::kernel_scratch<T>(ib, nn);
   detail::for_each_block(trans, k, ib, [&](std::int64_t i, std::int64_t sb) {
-    larfb_left(trans, v.sub(i, i, m - i, sb), t.sub(0, i, sb, sb), c.sub(i, 0, m - i, c.cols()),
-               work.data());
+    const std::int64_t rest = m - i - sb;
+    detail::apply_block(trans, detail::Tails::Dense, v.sub(i, i, sb, sb),
+                        v.sub(i + sb, i, rest, sb), t.sub(0, i, sb, sb), c.sub(i, 0, sb, nn),
+                        c.sub(i + sb, 0, rest, nn), work.data());
   });
 }
 

@@ -49,4 +49,20 @@ template <typename T>
   return ScalarTraits<T>::conj(x);
 }
 
+/// acc += op(a) * b, op conjugating when Conj. For complex scalars the
+/// product is written out in real arithmetic: the same products and sums as
+/// std::complex's operator*, without its C99 Annex G NaN recovery, a branch
+/// (and a rare library call) per product that keeps the loops scalar.
+template <bool Conj = false, typename T>
+inline void madd(T& acc, T a, T b) noexcept {
+  acc += a * b;
+}
+template <bool Conj = false, typename R>
+inline void madd(std::complex<R>& acc, std::complex<R> a, std::complex<R> b) noexcept {
+  const R ar = a.real(), ai = a.imag(), br = b.real(), bi = b.imag();
+  const R re = Conj ? ar * br + ai * bi : ar * br - ai * bi;
+  const R im = Conj ? ar * bi - ai * br : ar * bi + ai * br;
+  acc = std::complex<R>(acc.real() + re, acc.imag() + im);
+}
+
 }  // namespace tiledqr

@@ -55,7 +55,7 @@ void boost_diagonal(Matrix<T>& a) {
   for (std::int64_t i = 0; i < a.rows(); ++i) a(i, i) += T(4);
 }
 
-/// The matrix trmm/trsm actually operate on: the selected triangle, with a
+/// The matrix trsm actually operates on: the selected triangle, with a
 /// unit diagonal substituted when diag == Unit.
 template <typename T>
 Matrix<T> effective_triangle(const Matrix<T>& a, Uplo uplo, Diag diag) {
@@ -159,51 +159,6 @@ TYPED_TEST(BlasTyped, GemmWideColumnBlocking) {
     blas::gemm(Op::NoTrans, Op::NoTrans, T(1), a.view(), b.view(), T(0), c.view());
     auto want = naive_mul(a, b);
     EXPECT_LE(difference_norm<T>(want.view(), c.view()), this->tol()) << n;
-  }
-}
-
-TYPED_TEST(BlasTyped, TrmmMatchesDenseMultiply) {
-  using T = TypeParam;
-  const std::int64_t n = 6, m = 4;
-  for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
-    for (Op op : {Op::NoTrans, Op::ConjTrans}) {
-      for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-        Matrix<T> a = random_matrix<T>(n, n, 7);
-        make_triangular(a, uplo);
-        Matrix<T> b = random_matrix<T>(n, m, 8);
-        Matrix<T> bt(b.rows(), b.cols());
-        copy(b.view(), bt.view());
-        blas::trmm(uplo, op, diag, T(2), a.view(), bt.view());
-        auto eff = op_of(op, effective_triangle(a, uplo, diag));
-        Matrix<T> want = naive_mul(eff, b);
-        for (std::int64_t j = 0; j < m; ++j)
-          for (std::int64_t i = 0; i < n; ++i) want(i, j) *= T(2);
-        EXPECT_LE(difference_norm<T>(want.view(), bt.view()), 8 * this->tol())
-            << "uplo=" << int(uplo) << " op=" << int(op) << " diag=" << int(diag);
-      }
-    }
-  }
-}
-
-TYPED_TEST(BlasTyped, TrmmAccAccumulates) {
-  using T = TypeParam;
-  const std::int64_t n = 5, m = 3;
-  for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
-    for (Op op : {Op::NoTrans, Op::ConjTrans}) {
-      for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-        Matrix<T> a = random_matrix<T>(n, n, 9);
-        make_triangular(a, uplo);
-        auto b = random_matrix<T>(n, m, 10);
-        auto c = random_matrix<T>(n, m, 11);
-        Matrix<T> want(n, m);
-        copy(c.view(), want.view());
-        auto eff = op_of(op, effective_triangle(a, uplo, diag));
-        auto prod = naive_mul(eff, b);
-        blas::add(T(-3), prod.view(), want.view());
-        blas::trmm_acc(uplo, op, diag, T(-3), a.view(), b.view(), c.view());
-        EXPECT_LE(difference_norm<T>(want.view(), c.view()), 8 * this->tol());
-      }
-    }
   }
 }
 

@@ -1,10 +1,12 @@
-// Tests for the Householder machinery: larfg, geqr2, larft, larfb, and the
-// reference QR used as an oracle elsewhere.
+// Tests for the Householder machinery: larfg, geqr2, larft, the block apply
+// (larfb) of GEQRT's reflectors, and the reference QR used as an oracle
+// elsewhere.
 #include <gtest/gtest.h>
 
 #include <complex>
 
 #include "kernels/householder.hpp"
+#include "kernels/tile_kernels.hpp"
 #include "kernels/reference_qr.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/norms.hpp"
@@ -106,17 +108,23 @@ TYPED_TEST(HouseholderTyped, LarftLarfbBlockEqualsSequential) {
   Matrix<T> c_blk(m, 5), c_seq(m, 5);
   copy(c0.view(), c_blk.view());
   copy(c0.view(), c_seq.view());
-  std::vector<T> work(size_t(k) * 5);
-  kernels::larfb_left(ApplyTrans::ConjTrans, ConstMatrixView<T>(qr.vr.view()),
-                      ConstMatrixView<T>(t.view()), c_blk.view(), work.data());
+  // V = [V1; V2]: the unit-lower head strictly below the diagonal of qr.vr
+  // (R sits on and above it), and the dense rows below.
+  auto apply = [&](ApplyTrans trans, MatrixView<T> c) {
+    auto work = kernels::detail::kernel_scratch<T>(k, 5);
+    const auto v = ConstMatrixView<T>(qr.vr.view());
+    kernels::detail::apply_block(trans, kernels::detail::Tails::Dense, v.sub(0, 0, k, k),
+                                 v.sub(k, 0, m - k, k), ConstMatrixView<T>(t.view()),
+                                 c.sub(0, 0, k, 5), c.sub(k, 0, m - k, 5), work.data());
+  };
+  apply(ApplyTrans::ConjTrans, c_blk.view());
   qr.apply_q(ApplyTrans::ConjTrans, c_seq.view());
   EXPECT_LE(difference_norm<T>(c_blk.view(), c_seq.view()), 1e-12);
 
   // And the NoTrans direction.
   copy(c0.view(), c_blk.view());
   copy(c0.view(), c_seq.view());
-  kernels::larfb_left(ApplyTrans::NoTrans, ConstMatrixView<T>(qr.vr.view()),
-                      ConstMatrixView<T>(t.view()), c_blk.view(), work.data());
+  apply(ApplyTrans::NoTrans, c_blk.view());
   qr.apply_q(ApplyTrans::NoTrans, c_seq.view());
   EXPECT_LE(difference_norm<T>(c_blk.view(), c_seq.view()), 1e-12);
 }

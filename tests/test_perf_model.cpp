@@ -103,9 +103,11 @@ TEST(PerfHarness, KernelRatesArePositiveAndFinite) {
 TEST(PerfHarness, KernelSecondsOrdering) {
   // At equal tile size, TSMQR does ~2x the flops of TTMQR and must take
   // longer; same for TSQRT vs TTQRT. (Loose sanity, not a perf assertion.)
-  // Pinned to the scalar dispatch tier: the vectorized tiers speed up the
-  // GEMM-shaped TS kernels far more than the triangular TT kernels, so the
-  // flops-proportional-to-seconds assumption only holds for the plain loops.
+  // Pinned to the scalar dispatch tier, where seconds track flops most
+  // closely. Every block apply is GEMM-shaped now, the TT kernels included:
+  // a TT tail's closing triangle runs as a zero-padded sb x sb GEMM, whose
+  // padding costs flops the triangle did not, so TT's 2x flop advantage
+  // shrinks at small ib but stays clear of the bound.
   // Paired: one measure_kernel_seconds call times both kernels of a ratio a
   // few milliseconds apart, so a slow phase of the host stretches both; the
   // bound applies to the median of the per-round ratios.

@@ -266,62 +266,44 @@ void check_gemv_ger_equivalence() {
 TEST(SimdEquivalence, GemvTGerDouble) { check_gemv_ger_equivalence<double>(); }
 TEST(SimdEquivalence, GemvTGerFloat) { check_gemv_ger_equivalence<float>(); }
 
-TEST(SimdEquivalence, TrmmAcrossTiers) {
-  TierGuard guard;
-  using blas::Diag;
-  using blas::Op;
-  using blas::Uplo;
-  for (std::int64_t n : {3, 8, 13}) {
-    auto a = random_matrix<double>(n, n, 51);
-    auto b0 = random_matrix<double>(n, 5, 52);
-    for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
-      for (Op op : {Op::NoTrans, Op::ConjTrans}) {
-        ASSERT_TRUE(simd::set_tier(simd::Tier::Scalar));
-        Matrix<double> ref(n, 5);
-        copy(b0.view(), ref.view());
-        blas::trmm(uplo, op, Diag::Unit, 1.0, a.view(), ref.view());
-
-        Matrix<double> acc_ref(n, 5);
-        blas::trmm_acc(uplo, op, Diag::NonUnit, -1.0, a.view(), b0.view(), acc_ref.view());
-
-        for (simd::Tier t : vector_tiers()) {
-          ASSERT_TRUE(simd::set_tier(t));
-          Matrix<double> bt(n, 5);
-          copy(b0.view(), bt.view());
-          blas::trmm(uplo, op, Diag::Unit, 1.0, a.view(), bt.view());
-          EXPECT_LE(double(difference_norm<double>(ref.view(), bt.view())), 1e-12)
-              << simd::tier_name(t) << " n=" << n;
-
-          Matrix<double> acc(n, 5);
-          blas::trmm_acc(uplo, op, Diag::NonUnit, -1.0, a.view(), b0.view(), acc.view());
-          EXPECT_LE(double(difference_norm<double>(acc_ref.view(), acc.view())), 1e-12)
-              << simd::tier_name(t) << " n=" << n;
-        }
-      }
-    }
-  }
-}
-
 // Full kernels: factor + apply on every tier must agree with the scalar tier
 // to accumulation-order tolerance, and each tier must be bitwise-reproducible
-// against itself.
+// against itself. The chain runs all six kernels: GEQRT a1 and a3, TSQRT
+// a2 into a1, TTQRT a3 into a1, each apply on an nb-column and a 1-column
+// C (the narrow GEMM path), then Q back onto the 1-column C.
 template <typename T>
 std::vector<T> factor_and_apply(int nb, int ib) {
+  using kernels::ApplyTrans;
   auto a1 = random_matrix<T>(nb, nb, 61);
   auto a2 = random_matrix<T>(nb, nb, 62);
+  auto a3 = random_matrix<T>(nb, nb, 65);
   auto c1 = random_matrix<T>(nb, nb, 63);
   auto c2 = random_matrix<T>(nb, nb, 64);
-  Matrix<T> t1(ib, nb), t2(ib, nb);
+  auto c3 = random_matrix<T>(nb, nb, 66);
+  auto x1 = random_matrix<T>(nb, 1, 67);
+  auto x2 = random_matrix<T>(nb, 1, 68);
+  auto x3 = random_matrix<T>(nb, 1, 69);
+  Matrix<T> t1(ib, nb), t2(ib, nb), t3(ib, nb), t4(ib, nb);
 
+  const auto qh = ApplyTrans::ConjTrans;
   kernels::geqrt(ib, a1.view(), t1.view());
-  kernels::unmqr(kernels::ApplyTrans::ConjTrans, ib, a1.view(), t1.view(), c1.view());
+  kernels::geqrt(ib, a3.view(), t3.view());
+  for (auto* c : {&c1, &x1}) kernels::unmqr(qh, ib, a1.view(), t1.view(), c->view());
+  for (auto* c : {&c3, &x3}) kernels::unmqr(qh, ib, a3.view(), t3.view(), c->view());
   kernels::tsqrt(ib, a1.view(), a2.view(), t2.view());
-  kernels::tsmqr(kernels::ApplyTrans::ConjTrans, ib, a2.view(), t2.view(), c1.view(),
-                 c2.view());
+  kernels::tsmqr(qh, ib, a2.view(), t2.view(), c1.view(), c2.view());
+  kernels::tsmqr(qh, ib, a2.view(), t2.view(), x1.view(), x2.view());
+  kernels::ttqrt(ib, a1.view(), a3.view(), t4.view());
+  kernels::ttmqr(qh, ib, a3.view(), t4.view(), c1.view(), c3.view());
+  kernels::ttmqr(qh, ib, a3.view(), t4.view(), x1.view(), x3.view());
+  const auto q = ApplyTrans::NoTrans;
+  kernels::ttmqr(q, ib, a3.view(), t4.view(), x1.view(), x3.view());
+  kernels::tsmqr(q, ib, a2.view(), t2.view(), x1.view(), x2.view());
+  kernels::unmqr(q, ib, a3.view(), t3.view(), x3.view());
+  kernels::unmqr(q, ib, a1.view(), t1.view(), x1.view());
 
   std::vector<T> out;
-  out.reserve(size_t(4 * nb * nb));
-  for (const auto* m : {&a1, &a2, &c1, &c2})
+  for (const auto* m : {&a1, &a2, &a3, &c1, &c2, &c3, &x1, &x2, &x3, &t1, &t2, &t3, &t4})
     for (std::int64_t j = 0; j < m->cols(); ++j)
       for (std::int64_t i = 0; i < m->rows(); ++i) out.push_back((*m)(i, j));
   return out;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <complex>
+#include <future>
+#include <limits>
 #include <string>
 
 #include "core/qr_session.hpp"
@@ -402,6 +404,67 @@ TEST(Solve, WideMatrixMinimumNormSolve) {
   EXPECT_LE(difference_norm<double>(x_async.view(), x_ref.view()) /
                 frobenius_norm<double>(x_ref.view()),
             1e-10);
+}
+
+/// Runs f and expects a tiledqr::Error whose message contains `entry`.
+template <typename F>
+void expect_solve_error(F&& f, const std::string& entry) {
+  try {
+    (void)f();
+    ADD_FAILURE() << "no Error; wanted one naming " << entry;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(entry), std::string::npos) << e.what();
+  }
+}
+
+TYPED_TEST(SolveTyped, RankDeficientSolvesThrowNamingTheEntry) {
+  // A zero column of A makes r_jj exactly 0 and a zero row makes l_ii 0; a
+  // NaN makes the diagonal NaN. Every solve must then throw an Error naming
+  // the entry, where trsm would divide by it and return Inf or NaN: least
+  // squares, the square solve, the minimum-norm solve, and the session's
+  // async solves (pipeline, borrowed, streamed).
+  using T = TypeParam;
+  const Options opt = small_opts();
+  core::QrSession session(core::QrSession::Config{2});
+  auto tall = random_matrix<T>(40, 24, 501);
+  for (int i = 0; i < 40; ++i) tall(i, 10) = T(0);
+  auto square = random_matrix<T>(24, 24, 503);
+  for (int i = 0; i < 24; ++i) square(i, 5) = T(0);
+  auto wide = random_matrix<T>(16, 40, 505);
+  for (int j = 0; j < 40; ++j) wide(3, j) = T(0);
+  auto nan = random_matrix<T>(40, 24, 507);
+  nan(2, 0) = T(std::numeric_limits<double>::quiet_NaN());
+  const struct {
+    const Matrix<T>* a;
+    const char* entry;
+  } cases[] = {{&tall, "R(10, 10) is zero"},
+               {&square, "R(5, 5) is zero"},
+               {&wide, "L(3, 3) is zero"},
+               {&nan, "R(0, 0) is not finite"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.entry);
+    const ConstMatrixView<T> a(c.a->view());
+    auto b = random_matrix<T>(a.rows(), 2, 509);
+    const ConstMatrixView<T> bv(b.view());
+    const auto qr = TiledQr<T>::factorize(a, opt);
+    expect_solve_error([&] { return qr.solve_least_squares(bv); }, c.entry);
+    if (a.rows() == a.cols()) expect_solve_error([&] { return qr.solve(bv); }, c.entry);
+    // The async results are held as shared_futures, which keep the stored
+    // exception alive past the handler's read of what(). A plain
+    // future::get() drops the test's last reference, so the exception's
+    // final release could run on the worker, ordered only by reference
+    // counts inside libstdc++ that TSan does not see.
+    core::QrSession::StreamOptions sopt;
+    sopt.nb = opt.nb;
+    sopt.ib = opt.ib;
+    sopt.tree = opt.tree;
+    auto stream = session.template stream<T>(sopt);
+    const std::shared_future<Matrix<T>> async[] = {
+        session.solve_least_squares_async(a, bv, opt).share(),
+        session.solve_least_squares_async(qr, bv).share(), stream.push_solve(a, bv).share()};
+    stream.close();
+    for (const auto& f : async) expect_solve_error([&] { return f.get(); }, c.entry);
+  }
 }
 
 TEST(Solve, QThinFirstColumnsSpanA) {

@@ -524,9 +524,11 @@ TEST(FactorStream, FlushDeadlineCapsCoalescingLatency) {
   // A big factorization keeps the stream busy; a small request pushed behind
   // it would normally coalesce until the big one retires. flush_deadline
   // caps that wait: the deadline thread grafts the aged backlog while the
-  // big graft is still running. (The big QR takes hundreds of milliseconds —
-  // orders of magnitude past the deadline — so the ordering is robust, and
-  // sanitizer slowdowns only widen the margin.)
+  // big graft is still running. (The big QR takes tens of milliseconds on
+  // two workers — over ten times the deadline — so the ordering is robust,
+  // and sanitizer slowdowns only widen the margin. At 512 x 512 it took about
+  // 10 ms once the block applies ran on the GEMM, and the deadline flush
+  // missed it in about a third of the runs.)
   QrSession session(QrSession::Config{2});
   QrSession::StreamOptions sopt;
   sopt.nb = 64;
@@ -534,7 +536,7 @@ TEST(FactorStream, FlushDeadlineCapsCoalescingLatency) {
   sopt.tree = TreeConfig{};
   sopt.flush_deadline = std::chrono::milliseconds(5);
   auto stream = session.stream<double>(sopt);
-  auto big = random_matrix<double>(512, 512, 1);
+  auto big = random_matrix<double>(1024, 1024, 1);
   auto small = random_matrix<double>(64, 32, 2);
   auto f_big = stream.push(ConstMatrixView<double>(big.view()));
   auto f_small = stream.push(ConstMatrixView<double>(small.view()));
