@@ -106,6 +106,65 @@ TEST(LqFactorization, ResidualAndOrthogonalityAcrossTrees) {
   }
 }
 
+/// Bitwise equality of two dense matrices of any scalar type.
+template <typename T>
+void expect_same_bits(const Matrix<T>& got, const Matrix<T>& want, const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::int64_t j = 0; j < got.cols(); ++j)
+    for (std::int64_t i = 0; i < got.rows(); ++i)
+      ASSERT_TRUE(got(i, j) == want(i, j)) << what << " at (" << i << "," << j << ")";
+}
+
+template <typename T>
+Matrix<T> adjoint(const Matrix<T>& a) {
+  Matrix<T> h(a.cols(), a.rows());
+  for (std::int64_t j = 0; j < a.cols(); ++j)
+    for (std::int64_t i = 0; i < a.rows(); ++i) h(j, i) = conj_if_complex(a(i, j));
+  return h;
+}
+
+/// The LQ of A is the QR of Aᴴ, bit for bit, under the same explicit tree:
+/// its factored tiles, L and Q are the adjoints of the QR's tiles, R and Q̃.
+template <typename T>
+void expect_lq_is_adjoint_qr(const Matrix<T>& a, const Options& opt, const std::string& what) {
+  const Matrix<T> ah = adjoint(a);
+  const auto lq = TiledQr<T>::factorize(ConstMatrixView<T>(a.view()), opt);
+  const auto qr = TiledQr<T>::factorize(ConstMatrixView<T>(ah.view()), opt);
+  ASSERT_EQ(lq.kind(), FactorKind::LQ) << what;
+  ASSERT_EQ(qr.kind(), FactorKind::QR) << what;
+  expect_same_bits(lq.factors().to_dense(), adjoint(qr.factors().to_dense()), what + " factors");
+  expect_same_bits(lq.l_factor(), adjoint(qr.r_factor()), what + " L");
+  expect_same_bits(lq.q_thin(), adjoint(qr.q_thin()), what + " Q");
+}
+
+TEST(LqFactorization, IsTheAdjointOfQrOfTheTranspose) {
+  const std::vector<std::pair<TreeConfig, const char*>> algos = {
+      {{TreeKind::FlatTree, KernelFamily::TS, 1, 0}, "flat-ts"},
+      {{TreeKind::FlatTree, KernelFamily::TT, 1, 0}, "flat-tt"},
+      {{TreeKind::Greedy, KernelFamily::TT, 1, 0}, "greedy-tt"},
+      {{TreeKind::Fibonacci, KernelFamily::TT, 1, 0}, "fibonacci-tt"},
+      {{TreeKind::PlasmaTree, KernelFamily::TT, 2, 0}, "plasma-tt-d2"},
+  };
+  const std::vector<std::tuple<std::int64_t, std::int64_t, int, int>> shapes = {
+      {16, 48, 8, 4}, {13, 45, 8, 3}, {7, 56, 7, 7}, {31, 33, 16, 8}};
+  for (const auto& [tree, label] : algos)
+    for (const auto& [m, n, nb, ib] : shapes)
+      for (int threads : {1, 3}) {
+        Options opt;
+        opt.tree = tree;
+        opt.nb = nb;
+        opt.ib = ib;
+        opt.threads = threads;
+        const std::string what = std::string(label) + " m=" + std::to_string(m) +
+                                 " n=" + std::to_string(n) + " threads=" + std::to_string(threads);
+        expect_lq_is_adjoint_qr(random_matrix<double>(m, n, unsigned(100 * m + n)), opt,
+                                what + " double");
+        expect_lq_is_adjoint_qr(random_matrix<std::complex<double>>(m, n, unsigned(7 * m + n)),
+                                opt, what + " complex");
+      }
+}
+
 TEST(LqFactorization, ComplexWideResidual) {
   using C = std::complex<double>;
   Options opt;
