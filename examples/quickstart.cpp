@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
   //    (transpose duality on the reduction grid).
   auto qr = core::TiledQr<double>::factorize(a.view(), opt);
   std::printf("algorithm          : %s\n", opt.tree->name().c_str());
-  std::printf("tile grid          : %d x %d tiles\n", qr.factors().mt(), qr.factors().nt());
+  std::printf("reduction grid     : %d x %d tiles%s\n", qr.plan().graph.p, qr.plan().graph.q,
+              wide ? " (of A^H)" : "");
   std::printf("tasks in DAG       : %zu\n", qr.plan().graph.tasks.size());
   std::printf("critical path      : %ld units of nb^3/3 flops\n", qr.plan().critical_path);
 

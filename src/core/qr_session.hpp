@@ -213,7 +213,7 @@ struct Request {
       if (auto* factored = std::get_if<0>(&promise))
         factored->set_value(std::move(*qr));
       else if (auto* solved = std::get_if<1>(&promise))
-        solved->set_value(b.cols() == 0 ? Matrix<T>(factorization().factors().n(), 0)
+        solved->set_value(b.cols() == 0 ? Matrix<T>(factorization().n(), 0)
                                         : factorization().finish_solve(c));
       else
         std::get<2>(promise).set_value(std::move(c));
@@ -316,11 +316,13 @@ class FactorSession {
   FactorSession& operator=(const FactorSession&) = delete;
 
   /// Asynchronous factorization of a dense matrix (copied into tiled
-  /// layout on the calling thread). The future resolves once every kernel
-  /// has run; task exceptions surface through future::get().
+  /// layout on the calling thread, where a tiling error throws). The future
+  /// resolves once every kernel has run; task exceptions surface through
+  /// future::get().
   template <typename T>
   [[nodiscard]] std::future<TiledQr<T>> submit(ConstMatrixView<T> a, const Options& opt) {
-    return submit(TileMatrix<T>::from_dense(a, opt.nb), opt);
+    ReductionTiles<T> in = ReductionTiles<T>::from_dense(a, opt.nb);
+    return submit_one<T>([&] { return std::move(in); }, opt);
   }
 
   /// Asynchronous factorization of a tiled matrix (consumed) — a batch of
@@ -330,10 +332,8 @@ class FactorSession {
   /// clamp to the pool, so 0, negative, and over-pool requests all mean
   /// "whole pool" — the invariant every session path shares.
   template <typename T>
-  [[nodiscard]] std::future<TiledQr<T>> submit(TileMatrix<T> a, Options opt) {
-    if (!opt.tree) opt.tree = trees::TreeConfig{};  // explicit options: Greedy, not the tuner
-    return std::move(
-        one_shot<TiledQr<T>, T>(1, [&](size_t) { return std::move(a); }, {}, opt).front());
+  [[nodiscard]] std::future<TiledQr<T>> submit(TileMatrix<T> a, const Options& opt) {
+    return submit_one<T>([&] { return ReductionTiles<T>::from_tiles(std::move(a)); }, opt);
   }
 
   /// Asynchronous batched factorization: fuses the batch into ONE pool
@@ -352,8 +352,8 @@ class FactorSession {
       std::span<const ConstMatrixView<T>> mats, const Options& opt) {
     return one_shot<TiledQr<T>, T>(
         mats.size(),
-        [&mats, nb = opt.nb](size_t i) { return TileMatrix<T>::from_dense(mats[i], nb); }, {},
-        opt);
+        [&mats, nb = opt.nb](size_t i) { return ReductionTiles<T>::from_dense(mats[i], nb); },
+        {}, opt);
   }
 
   template <typename T>
@@ -368,7 +368,9 @@ class FactorSession {
   [[nodiscard]] std::vector<std::future<TiledQr<T>>> submit_batch(
       std::vector<TileMatrix<T>> mats, const Options& opt) {
     return one_shot<TiledQr<T>, T>(
-        mats.size(), [&mats](size_t i) { return std::move(mats[i]); }, {}, opt);
+        mats.size(),
+        [&mats](size_t i) { return ReductionTiles<T>::from_tiles(std::move(mats[i])); }, {},
+        opt);
   }
 
   /// Blocking batched factorization (one fused DAG; see submit_batch).
@@ -431,7 +433,7 @@ class FactorSession {
   [[nodiscard]] std::future<Matrix<T>> solve_least_squares_async(const TiledQr<T>& qr,
                                                                  ConstMatrixView<T> b) {
     return borrow<Matrix<T>>(
-        qr, [&](detail::Request<T>& req) { req.b = copy_rhs(b, qr.a_.m()); });
+        qr, [&](detail::Request<T>& req) { req.b = copy_rhs(b, qr.m()); });
   }
 
   template <typename T>
@@ -450,7 +452,7 @@ class FactorSession {
                                                                  Options opt) {
     return std::move(
         one_shot<Matrix<T>, T>(
-            1, [&](size_t) { return TileMatrix<T>::from_dense(a, opt.nb); }, b, opt)
+            1, [&](size_t) { return ReductionTiles<T>::from_dense(a, opt.nb); }, b, opt)
             .front());
   }
 
@@ -469,7 +471,9 @@ class FactorSession {
   [[nodiscard]] std::future<TiledQr<T>> submit_auto(ConstMatrixView<T> a,
                                                     const AutoOptions& opt = {}) {
     validate_auto_options(opt);
-    return submit_auto(TileMatrix<T>::from_dense(a, opt.nb), opt);
+    ReductionTiles<T> in = ReductionTiles<T>::from_dense(a, opt.nb);
+    const Options full{choose_tree_for(in, opt.threads), opt.nb, opt.ib, opt.threads};
+    return submit_one<T>([&] { return std::move(in); }, full);
   }
 
   /// Asynchronous auto-tuned factorization of a tiled matrix (consumed);
@@ -517,15 +521,23 @@ class FactorSession {
     return decide_tree(p, q, worker_cap, factor).config;
   }
 
-  /// Shape-routed choose_tree: wide inputs (m < n) tune on the transposed
-  /// (reduction) grid under their LQ key, everything else on the grid as-is
-  /// — the same routing prepare() applies, so the tuner always sees p >= q.
+  /// Shape-routed choose_tree for a caller-tiled A: a wide A (m < n) tunes
+  /// on the transposed (reduction) grid under its LQ key, everything else on
+  /// the grid as-is — the routing ReductionTiles applies, so the tuner always
+  /// sees p >= q.
   template <typename T>
   [[nodiscard]] trees::TreeConfig choose_tree_for(const TileMatrix<T>& tiles,
                                                   int worker_cap = 0) {
     return tiles.m() < tiles.n()
                ? choose_tree(tiles.nt(), tiles.mt(), worker_cap, kernels::FactorKind::LQ)
                : choose_tree(tiles.mt(), tiles.nt(), worker_cap);
+  }
+
+  /// choose_tree for tiles already in their reduction layout.
+  template <typename T>
+  [[nodiscard]] trees::TreeConfig choose_tree_for(const ReductionTiles<T>& in,
+                                                  int worker_cap = 0) {
+    return choose_tree(in.tiles.mt(), in.tiles.nt(), worker_cap, in.kind);
   }
 
   [[nodiscard]] tuner::Tuner& tree_tuner() noexcept { return tuner_; }
@@ -693,10 +705,10 @@ class FactorSession {
   bool prepare(detail::Request<T>& req, MakeTiles&& make_tiles, ConstMatrixView<T> b,
                Options opt, int cap) {
     try {
-      TileMatrix<T> tiles = make_tiles();
-      if (req.solving()) req.b = copy_rhs(b, tiles.m());
-      if (!opt.tree) opt.tree = choose_tree_for(tiles, cap);
-      req.qr = TiledQr<T>::prepare(std::move(tiles), opt, cache_);
+      ReductionTiles<T> in = make_tiles();
+      if (req.solving()) req.b = copy_rhs(b, in.rhs_rows());
+      if (!opt.tree) opt.tree = choose_tree_for(in, cap);
+      req.qr = TiledQr<T>::prepare(std::move(in), opt, cache_);
     } catch (...) {
       req.fail(std::current_exception());
       return false;
@@ -712,6 +724,15 @@ class FactorSession {
     Matrix<T> out(b.rows(), b.cols());
     copy(b, out.view());
     return out;
+  }
+
+  /// A batch of one under explicit options: a disengaged tree is the Greedy
+  /// paper default, not the tuner.
+  template <typename T, typename MakeTiles>
+  [[nodiscard]] std::future<TiledQr<T>> submit_one(MakeTiles&& make_tiles, Options opt) {
+    if (!opt.tree) opt.tree = trees::TreeConfig{};
+    return std::move(
+        one_shot<TiledQr<T>, T>(1, [&](size_t) { return make_tiles(); }, {}, opt).front());
   }
 
   /// The one-shot entry: opens `count` requests whose futures carry R, tiles
@@ -912,13 +933,14 @@ class FactorStream {
   [[nodiscard]] std::future<TiledQr<T>> push(ConstMatrixView<T> a) {
     TILEDQR_CHECK(valid(), "FactorStream::push: moved-from or empty stream handle");
     return push_request<TiledQr<T>>(
-        [&] { return TileMatrix<T>::from_dense(a, state_->opts.nb); });
+        [&] { return ReductionTiles<T>::from_dense(a, state_->opts.nb); });
   }
 
   /// Pre-tiled flavor (consumed); the input keeps its own tile size.
   [[nodiscard]] std::future<TiledQr<T>> push(TileMatrix<T> a) {
     TILEDQR_CHECK(valid(), "FactorStream::push: moved-from or empty stream handle");
-    return push_request<TiledQr<T>>([&] { return std::move(a); });
+    return push_request<TiledQr<T>>(
+        [&] { return ReductionTiles<T>::from_tiles(std::move(a)); });
   }
 
   /// Full solve for one request: factorize A, then its apply stage rides the
@@ -932,7 +954,7 @@ class FactorStream {
   [[nodiscard]] std::future<Matrix<T>> push_solve(ConstMatrixView<T> a, ConstMatrixView<T> b) {
     TILEDQR_CHECK(valid(), "FactorStream::push_solve: moved-from or empty stream handle");
     return push_request<Matrix<T>>(
-        [&] { return TileMatrix<T>::from_dense(a, state_->opts.nb); }, b);
+        [&] { return ReductionTiles<T>::from_dense(a, state_->opts.nb); }, b);
   }
 
   /// Defers flushing: corked pushes accumulate (up to max_pending) so a

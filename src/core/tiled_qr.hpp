@@ -6,19 +6,20 @@
 //   Matrix<double> x = qr.solve_least_squares(b);       // min ||A x - b||,
 //                                                       // min-norm when wide
 //
-// The factorization routes on shape: tall/square matrices run the tiled QR
-// column reduction, wide matrices (m < n) the LQ row reduction by transpose
-// duality — the same elimination trees and runtime on the transposed
-// (reduction) grid, with each LQ kernel wrapping its QR dual on adjointed
-// tiles. Either way the selected tiled algorithm (Greedy by default) runs
-// through the dataflow runtime; the factored tiles retain the full
-// transformation log (GEQRT reflectors below the diagonal / GELQT row
-// reflectors above it, TT reflector tails on the other side, block factors
-// in the T/T2 stores), so op(Q) can be applied to anything afterwards
-// (LAPACK xORMQR/xORMLQ-style).
+// The factorization routes on shape. A tall/square A runs the tiled QR
+// column reduction on its tiles. A wide A (m < n) is tiled as Aᴴ, and its LQ
+// is the same QR reduction of Aᴴ: the paper's algorithms for p >= q tile
+// grids, each LQ task kind running its QR dual in place, so A = L Q with
+// L = R̃ᴴ and Q = Q̃ᴴ. Either way the selected tiled algorithm (Greedy by
+// default) runs through the dataflow runtime; the factored tiles retain the
+// full transformation log (GEQRT reflectors below the diagonal, TT
+// reflector tails above it, block factors in the T/T2 stores), so op(Q) can
+// be applied to anything afterwards (LAPACK xORMQR/xORMLQ-style).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -74,15 +75,44 @@ class TStore {
   std::vector<T, AlignedAllocator<T>> data_;
 };
 
-/// Runs one DAG task's kernel on the tile storage (shared by TiledQr and the
-/// benchmark driver). LQ task coordinates live in the reduction grid (the
-/// transposed tile grid), so reduction tile (r, c) is A-layout tile (c, r);
-/// the factorization updates adjoint their C tiles through scratch because
-/// the wrapped QR update kernels run in the transposed world.
+/// A factorization input in its reduction layout: A's tiles for QR (m >= n),
+/// Aᴴ's for LQ (m < n), so the grid the elimination tree runs on always has
+/// p >= q. The factor kind travels with the tiles from the tiling step to
+/// TiledQr::prepare; nothing reads it back from the grid.
+template <typename T>
+struct ReductionTiles {
+  TileMatrix<T> tiles;
+  kernels::FactorKind kind = kernels::FactorKind::QR;
+
+  /// Tiles dense A in nb x nb tiles; a wide A goes straight into Aᴴ's.
+  [[nodiscard]] static ReductionTiles from_dense(ConstMatrixView<T> a, int nb) {
+    if (a.rows() >= a.cols()) return {TileMatrix<T>::from_dense(a, nb), kernels::FactorKind::QR};
+    return {TileMatrix<T>::from_dense_adjoint(a, nb), kernels::FactorKind::LQ};
+  }
+
+  /// A caller-tiled A (consumed); a wide one is adjointed tile by tile in
+  /// its own storage.
+  [[nodiscard]] static ReductionTiles from_tiles(TileMatrix<T> a) {
+    TILEDQR_CHECK(a.w() == a.nb(),
+                  "factorization input must have square nb x nb tiles (TileMatrix::operand "
+                  "tiles op(Q) operands, not factorization inputs)");
+    if (a.m() >= a.n()) return {std::move(a), kernels::FactorKind::QR};
+    return {std::move(a).adjoint(), kernels::FactorKind::LQ};
+  }
+
+  /// A's row count, the rows a right-hand side must have.
+  [[nodiscard]] std::int64_t rhs_rows() const noexcept {
+    return kind == kernels::FactorKind::LQ ? tiles.n() : tiles.m();
+  }
+};
+
+/// Runs one DAG task's kernel on the tile storage (shared by TiledQr and
+/// perfbench). Task coordinates are tiles of the reduction layout, Aᴴ's for
+/// LQ, so an LQ kind runs its QR dual in place and no task copies anything.
 template <typename T>
 void run_task_kernels(const dag::Task& t, TileMatrix<T>& a, TStore<T>& ts, TStore<T>& t2s,
                       int ib) {
-  switch (t.kind) {
+  switch (kernels::qr_dual(t.kind)) {
     case kernels::KernelKind::GEQRT:
       kernels::geqrt(ib, a.tile(t.i, t.k), ts.at(t.i, t.k));
       break;
@@ -104,39 +134,8 @@ void run_task_kernels(const dag::Task& t, TileMatrix<T>& a, TStore<T>& ts, TStor
       kernels::ttmqr(ApplyTrans::ConjTrans, ib, a.tile(t.i, t.k), t2s.at(t.i, t.k),
                      a.tile(t.piv, t.j), a.tile(t.i, t.j));
       break;
-    case kernels::KernelKind::GELQT:
-      kernels::gelqt(ib, a.tile(t.k, t.i), ts.at(t.i, t.k));
-      break;
-    case kernels::KernelKind::UNMLQ: {
-      kernels::detail::AdjointScratch<T> c(a.tile(t.j, t.i));
-      kernels::unmlq(ApplyTrans::ConjTrans, ib, a.tile(t.k, t.i), ts.at(t.i, t.k), c.view());
-      c.commit();
-      break;
-    }
-    case kernels::KernelKind::TSLQT:
-      kernels::tslqt(ib, a.tile(t.k, t.piv), a.tile(t.k, t.i), ts.at(t.i, t.k));
-      break;
-    case kernels::KernelKind::TSMLQ: {
-      kernels::detail::AdjointScratch<T> c1(a.tile(t.j, t.piv));
-      kernels::detail::AdjointScratch<T> c2(a.tile(t.j, t.i));
-      kernels::tsmlq(ApplyTrans::ConjTrans, ib, a.tile(t.k, t.i), ts.at(t.i, t.k), c1.view(),
-                     c2.view());
-      c1.commit();
-      c2.commit();
-      break;
-    }
-    case kernels::KernelKind::TTLQT:
-      kernels::ttlqt(ib, a.tile(t.k, t.piv), a.tile(t.k, t.i), t2s.at(t.i, t.k));
-      break;
-    case kernels::KernelKind::TTMLQ: {
-      kernels::detail::AdjointScratch<T> c1(a.tile(t.j, t.piv));
-      kernels::detail::AdjointScratch<T> c2(a.tile(t.j, t.i));
-      kernels::ttmlq(ApplyTrans::ConjTrans, ib, a.tile(t.k, t.i), t2s.at(t.i, t.k), c1.view(),
-                     c2.view());
-      c1.commit();
-      c2.commit();
-      break;
-    }
+    default:
+      break;  // qr_dual yields QR kinds only
   }
 }
 
@@ -154,49 +153,59 @@ void execute_graph(const dag::TaskGraph& g, TileMatrix<T>& a, TStore<T>& ts, TSt
 template <typename T>
 class TiledQr {
  public:
-  /// Factorizes a dense matrix (copied into tiled layout).
+  /// Factorizes a dense matrix (copied into tiled layout: Aᴴ's when wide).
   [[nodiscard]] static TiledQr factorize(ConstMatrixView<T> a, const Options& opt) {
-    return factorize(TileMatrix<T>::from_dense(a, opt.nb), opt);
+    return run(prepare(ReductionTiles<T>::from_dense(a, opt.nb), opt));
   }
 
-  /// Factorizes a tiled matrix in place (consumed). Plans come from the
-  /// process-wide PlanCache: repeated shapes skip elimination-list
-  /// generation and DAG construction entirely.
+  /// Factorizes a tiled matrix in place (consumed; a wide one is adjointed
+  /// in its own storage first). Plans come from the process-wide PlanCache:
+  /// repeated shapes skip elimination-list generation and DAG construction
+  /// entirely.
   [[nodiscard]] static TiledQr factorize(TileMatrix<T> a, Options opt) {
-    TiledQr qr = prepare(std::move(a), opt);
-    execute_graph(qr.plan_->graph, qr.a_, qr.t_, qr.t2_, qr.opt_.ib, qr.opt_.threads,
-                  &qr.plan_->ranks);
-    return qr;
+    return run(prepare(ReductionTiles<T>::from_tiles(std::move(a)), opt));
   }
 
-  /// The factored tiles: R in the upper triangle of the top q tile rows
-  /// (QR), or L in the lower triangle of the left tile columns (LQ);
-  /// reflector data elsewhere.
-  [[nodiscard]] const TileMatrix<T>& factors() const noexcept { return a_; }
+  /// The factored tiles in A's m x n layout: R in the upper triangle of the
+  /// top q tile rows (QR), or L in the lower triangle of the left tile
+  /// columns (LQ); reflector data elsewhere. An LQ factorization holds
+  /// Aᴴ's tiles, so its first call builds A's layout (a tile-by-tile
+  /// adjoint) and keeps it; concurrent calls are safe.
+  [[nodiscard]] const TileMatrix<T>& factors() const {
+    if (kind_ == kernels::FactorKind::QR) return a_;
+    std::call_once(a_layout_->built, [&] { a_layout_->tiles = a_.adjoint(); });
+    return a_layout_->tiles;
+  }
   [[nodiscard]] const Plan& plan() const noexcept { return *plan_; }
   [[nodiscard]] const Options& options() const noexcept { return opt_; }
 
   /// Which factorization this object holds: QR for m >= n, LQ for m < n.
   [[nodiscard]] kernels::FactorKind kind() const noexcept { return kind_; }
 
+  /// A's shape (an LQ factorization's tiles hold Aᴴ's n x m).
+  [[nodiscard]] std::int64_t m() const noexcept {
+    return kind_ == kernels::FactorKind::LQ ? a_.n() : a_.m();
+  }
+  [[nodiscard]] std::int64_t n() const noexcept {
+    return kind_ == kernels::FactorKind::LQ ? a_.m() : a_.n();
+  }
+
   /// The n x n upper-triangular R factor (QR factorizations only).
   [[nodiscard]] Matrix<T> r_factor() const {
     TILEDQR_CHECK(kind_ == kernels::FactorKind::QR, "r_factor: requires a QR factorization");
-    const std::int64_t k = std::min(a_.m(), a_.n());
-    Matrix<T> r(k, a_.n());
-    for (std::int64_t j = 0; j < a_.n(); ++j)
-      a_.read_column(j, 0, std::min(j + 1, k), r.view().col(j));
-    return r;
+    return triangle();
   }
 
-  /// The m x m lower-triangular L factor (LQ factorizations only). L = R̃^H
-  /// of the dual QR, stored in A-layout in the lower triangle of the left
-  /// tile columns.
+  /// The m x m lower-triangular L factor (LQ factorizations only): L = R̃ᴴ,
+  /// R̃ being the triangle of the QR of Aᴴ that the tiles hold. The adjoint
+  /// conjugates R̃'s zeros below the diagonal to (0, -0) for complex T, so
+  /// the part above L's diagonal is zeroed again.
   [[nodiscard]] Matrix<T> l_factor() const {
     TILEDQR_CHECK(kind_ == kernels::FactorKind::LQ, "l_factor: requires an LQ factorization");
-    const std::int64_t k = std::min(a_.m(), a_.n());
-    Matrix<T> l(a_.m(), k);
-    for (std::int64_t j = 0; j < k; ++j) a_.read_column(j, j, a_.m(), l.view().col(j) + j);
+    const Matrix<T> r = triangle();
+    Matrix<T> l(r.cols(), r.rows());
+    adjoint_copy(r.view(), l.view());
+    for (std::int64_t j = 1; j < l.cols(); ++j) std::fill_n(l.view().col(j), j, T(0));
     return l;
   }
 
@@ -208,16 +217,13 @@ class TiledQr {
   [[nodiscard]] dag::TaskGraph build_apply_graph(ApplyTrans trans, int c_nt) const {
     // Transformation log in application order. For LQ factorizations C is a
     // transposed-world matrix (its rows live in A's column space), so the
-    // row index of the apply grid is the reduction grid's row count.
+    // apply grid has the reduction grid's rows either way.
     std::vector<const dag::Task*> ops;
     for (const auto& task : plan_->graph.tasks)
-      switch (task.kind) {
+      switch (kernels::qr_dual(task.kind)) {
         case kernels::KernelKind::GEQRT:
         case kernels::KernelKind::TSQRT:
         case kernels::KernelKind::TTQRT:
-        case kernels::KernelKind::GELQT:
-        case kernels::KernelKind::TSLQT:
-        case kernels::KernelKind::TTLQT:
           ops.push_back(&task);
           break;
         default:
@@ -227,7 +233,7 @@ class TiledQr {
 
     dag::TaskGraph g;
     g.factor = plan_->graph.factor;
-    g.p = reduction_p();
+    g.p = a_.mt();
     g.q = c_nt;
     std::vector<std::int32_t> last(size_t(g.p) * size_t(c_nt), -1);
     auto touch = [&](int row, int jc, std::int32_t id) {
@@ -265,35 +271,22 @@ class TiledQr {
     return g;
   }
 
-  /// Runs one task of an apply graph built by build_apply_graph against C.
-  /// LQ apply kernels adjoint the reflector tile internally, so C's tiles
-  /// (transposed-world operands) pass straight through.
+  /// Runs one task of an apply graph built by build_apply_graph against C;
+  /// an LQ kind runs its QR dual, as in the factorization.
   void run_apply_task(const dag::Task& task, ApplyTrans trans, TileMatrix<T>& c) const {
     const int ib = opt_.ib;
-    switch (task.kind) {
+    const auto v = a_.tile(task.i, task.k);
+    switch (kernels::qr_dual(task.kind)) {
       case kernels::KernelKind::UNMQR:
-        kernels::unmqr(trans, ib, a_.tile(task.i, task.k), t_.at(task.i, task.k),
-                       c.tile(task.i, task.j));
+        kernels::unmqr(trans, ib, v, t_.at(task.i, task.k), c.tile(task.i, task.j));
         break;
       case kernels::KernelKind::TSMQR:
-        kernels::tsmqr(trans, ib, a_.tile(task.i, task.k), t_.at(task.i, task.k),
-                       c.tile(task.piv, task.j), c.tile(task.i, task.j));
-        break;
-      case kernels::KernelKind::TTMQR:
-        kernels::ttmqr(trans, ib, a_.tile(task.i, task.k), t2_.at(task.i, task.k),
-                       c.tile(task.piv, task.j), c.tile(task.i, task.j));
-        break;
-      case kernels::KernelKind::UNMLQ:
-        kernels::unmlq(trans, ib, a_.tile(task.k, task.i), t_.at(task.i, task.k),
+        kernels::tsmqr(trans, ib, v, t_.at(task.i, task.k), c.tile(task.piv, task.j),
                        c.tile(task.i, task.j));
         break;
-      case kernels::KernelKind::TSMLQ:
-        kernels::tsmlq(trans, ib, a_.tile(task.k, task.i), t_.at(task.i, task.k),
-                       c.tile(task.piv, task.j), c.tile(task.i, task.j));
-        break;
       default:
-        kernels::ttmlq(trans, ib, a_.tile(task.k, task.i), t2_.at(task.i, task.k),
-                       c.tile(task.piv, task.j), c.tile(task.i, task.j));
+        kernels::ttmqr(trans, ib, v, t2_.at(task.i, task.k), c.tile(task.piv, task.j),
+                       c.tile(task.i, task.j));
         break;
     }
   }
@@ -314,77 +307,23 @@ class TiledQr {
   }
 
   /// Applies op(Q) to a tiled matrix with the same row tiling (any number of
-  /// columns, any column-tile width), replaying the transformation log
-  /// sequentially. For an LQ factorization C is a transposed-world matrix
-  /// (c.m() == a_.n()).
+  /// columns, any column-tile width), replaying the apply graph's tasks
+  /// sequentially in their emission order. For an LQ factorization C is a
+  /// transposed-world matrix (c.m() == n()).
   void apply_q(ApplyTrans trans, TileMatrix<T>& c) const {
     check_operand(c, "apply_q");
-    const int ib = opt_.ib;
-    auto apply_one = [&](const dag::Task& task) {
-      switch (task.kind) {
-        case kernels::KernelKind::GEQRT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::unmqr(trans, ib, a_.tile(task.i, task.k), t_.at(task.i, task.k),
-                           c.tile(task.i, jc));
-          break;
-        case kernels::KernelKind::TSQRT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::tsmqr(trans, ib, a_.tile(task.i, task.k), t_.at(task.i, task.k),
-                           c.tile(task.piv, jc), c.tile(task.i, jc));
-          break;
-        case kernels::KernelKind::TTQRT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::ttmqr(trans, ib, a_.tile(task.i, task.k), t2_.at(task.i, task.k),
-                           c.tile(task.piv, jc), c.tile(task.i, jc));
-          break;
-        case kernels::KernelKind::GELQT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::unmlq(trans, ib, a_.tile(task.k, task.i), t_.at(task.i, task.k),
-                           c.tile(task.i, jc));
-          break;
-        case kernels::KernelKind::TSLQT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::tsmlq(trans, ib, a_.tile(task.k, task.i), t_.at(task.i, task.k),
-                           c.tile(task.piv, jc), c.tile(task.i, jc));
-          break;
-        case kernels::KernelKind::TTLQT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::ttmlq(trans, ib, a_.tile(task.k, task.i), t2_.at(task.i, task.k),
-                           c.tile(task.piv, jc), c.tile(task.i, jc));
-          break;
-        default:
-          break;  // update kernels are not part of the log
-      }
-    };
-    const auto& tasks = plan_->graph.tasks;
-    if (trans == ApplyTrans::ConjTrans) {
-      for (const auto& task : tasks) apply_one(task);
-    } else {
-      for (auto it = tasks.rbegin(); it != tasks.rend(); ++it) apply_one(*it);
-    }
+    for (const auto& task : build_apply_graph(trans, c.nt()).tasks) run_apply_task(task, trans, c);
   }
 
   /// Forms the thin Q factor explicitly: m x n with orthonormal columns for
-  /// QR (m >= n), m x n with orthonormal rows for LQ (m < n).
+  /// QR (m >= n), m x n with orthonormal rows for LQ (m < n), where it is
+  /// the adjoint of the thin Q̃ of the QR of Aᴴ.
   [[nodiscard]] Matrix<T> q_thin() const {
-    if (kind_ == kernels::FactorKind::LQ) {
-      // Thin Q̃ (n x m) of the dual QR, adjointed back: Q = Q̃^H.
-      const std::int64_t m = a_.m();
-      TileMatrix<T> c(a_.n(), m, a_.nb());
-      for (std::int64_t i = 0; i < m; ++i)
-        c.tile(int(i / a_.nb()), int(i / a_.nb()))(i % a_.nb(), i % a_.nb()) = T(1);
-      apply_q(ApplyTrans::NoTrans, c, opt_.threads);
-      Matrix<T> qt = c.to_dense();
-      Matrix<T> q(m, a_.n());
-      for (std::int64_t i = 0; i < m; ++i)
-        for (std::int64_t j = 0; j < a_.n(); ++j) q(i, j) = conj_if_complex(qt(j, i));
-      return q;
-    }
     TileMatrix<T> c(a_.m(), a_.n(), a_.nb());
     for (std::int64_t i = 0; i < a_.n(); ++i)
       c.tile(int(i / a_.nb()), int(i / a_.nb()))(i % a_.nb(), i % a_.nb()) = T(1);
     apply_q(ApplyTrans::NoTrans, c, opt_.threads);
-    return c.to_dense();
+    return kind_ == kernels::FactorKind::LQ ? std::move(c).adjoint().to_dense() : c.to_dense();
   }
 
   /// The solve's apply op: Qᴴ for least squares (QR), Q̃ for the
@@ -397,20 +336,19 @@ class TiledQr {
   /// the split every solve runs (solve_least_squares here, the session's
   /// async solves with the apply stage on the pool), so this pair alone
   /// owns the QR-vs-LQ stage order. QR tiles b; its triangular solve comes
-  /// last. LQ solves L y = b first — on the logical m x m triangle, since
-  /// the zero-padded tile triangle is singular — and tiles [y; 0] in the
-  /// transposed-world row tiling. Either operand is nb x min(nb, nrhs)
+  /// last. LQ solves L y = R̃ᴴ y = b first — on the logical m x m triangle,
+  /// since the zero-padded tile triangle is singular — and tiles [y; 0] in
+  /// the transposed-world row tiling. Either operand is nb x min(nb, nrhs)
   /// tiles (TileMatrix::operand). b is m x nrhs with nrhs >= 1.
   [[nodiscard]] TileMatrix<T> start_solve(ConstMatrixView<T> b) const {
     if (kind_ == kernels::FactorKind::QR) return TileMatrix<T>::operand(b, a_.nb());
-    const std::int64_t m = a_.m();
-    Matrix<T> ypad(a_.n(), b.cols());
-    copy(b, ypad.sub(0, 0, m, b.cols()));
-    Matrix<T> l = l_factor();
-    auto head = ypad.sub(0, 0, m, b.cols());
-    check_solvable(l.sub(0, 0, m, m), "L");
-    blas::trsm(blas::Uplo::Lower, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
-               l.sub(0, 0, m, m), head);
+    Matrix<T> ypad(a_.m(), b.cols());
+    auto head = ypad.sub(0, 0, b.rows(), b.cols());
+    copy(b, head);
+    const Matrix<T> r = triangle();
+    check_solvable(r.view(), "L");
+    blas::trsm(blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit, T(1), r.view(),
+               head);
     return TileMatrix<T>::operand(ConstMatrixView<T>(ypad.view()), a_.nb());
   }
 
@@ -421,10 +359,10 @@ class TiledQr {
     const std::int64_t n = a_.n();
     Matrix<T> x(n, c.n());
     for (std::int64_t j = 0; j < c.n(); ++j) c.read_column(j, 0, n, x.view().col(j));
-    Matrix<T> r = r_factor();
-    check_solvable(r.sub(0, 0, n, n), "R");
-    blas::trsm(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(1),
-               r.sub(0, 0, n, n), x.view());
+    const Matrix<T> r = triangle();
+    check_solvable(r.view(), "R");
+    blas::trsm(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(1), r.view(),
+               x.view());
     return x;
   }
 
@@ -434,8 +372,8 @@ class TiledQr {
   /// Error naming the entry when a diagonal entry of R (or L) is zero or not
   /// finite, instead of returning Inf or NaN.
   [[nodiscard]] Matrix<T> solve_least_squares(ConstMatrixView<T> b) const {
-    TILEDQR_CHECK(b.rows() == a_.m(), "solve_least_squares: rhs row mismatch");
-    if (b.cols() == 0) return Matrix<T>(a_.n(), 0);
+    TILEDQR_CHECK(b.rows() == m(), "solve_least_squares: rhs row mismatch");
+    if (b.cols() == 0) return Matrix<T>(n(), 0);
     TileMatrix<T> c = start_solve(b);
     apply_q(solve_trans(), c, opt_.threads);
     return finish_solve(c);
@@ -444,7 +382,7 @@ class TiledQr {
   /// Solves the square system A x = b via QR (unconditionally stable, paper
   /// §1); b is n x nrhs.
   [[nodiscard]] Matrix<T> solve(ConstMatrixView<T> b) const {
-    TILEDQR_CHECK(a_.m() == a_.n(), "solve: matrix must be square");
+    TILEDQR_CHECK(m() == n(), "solve: matrix must be square");
     return solve_least_squares(b);
   }
 
@@ -456,15 +394,19 @@ class TiledQr {
   /// part of the public API.
   TiledQr() = default;
 
-  /// Rows of the reduction grid — the tile grid the elimination tree runs
-  /// on: (mt, nt) for QR, the transposed (nt, mt) for LQ. Always p >= q, so
-  /// the tree generators never see a wide grid. This is also the row-tile
-  /// count op(Q) application targets must match.
-  [[nodiscard]] int reduction_p() const noexcept {
-    return kind_ == kernels::FactorKind::LQ ? a_.nt() : a_.mt();
+  /// Executes a prepared factorization on its own threads.
+  [[nodiscard]] static TiledQr run(TiledQr qr) {
+    execute_graph(qr.plan_->graph, qr.a_, qr.t_, qr.t2_, qr.opt_.ib, qr.opt_.threads,
+                  &qr.plan_->ranks);
+    return qr;
   }
-  [[nodiscard]] int reduction_q() const noexcept {
-    return kind_ == kernels::FactorKind::LQ ? a_.mt() : a_.nt();
+
+  /// The reduction's upper triangle from the tiles, min(m, n) square: R for
+  /// QR, R̃ (L = R̃ᴴ) for LQ.
+  [[nodiscard]] Matrix<T> triangle() const {
+    Matrix<T> r(a_.n(), a_.n());
+    for (std::int64_t j = 0; j < a_.n(); ++j) a_.read_column(j, 0, j + 1, r.view().col(j));
+    return r;
   }
 
   /// Rejects a solve whose triangular factor (R, or L for the minimum-norm
@@ -487,7 +429,7 @@ class TiledQr {
   /// rows for QR, n for LQ (C lives in the transposed world), tiled by the
   /// same nb. Its column count and column-tile width are free.
   void check_operand(const TileMatrix<T>& c, const char* entry) const {
-    const std::int64_t rows = kind_ == kernels::FactorKind::LQ ? a_.n() : a_.m();
+    const std::int64_t rows = a_.m();
     TILEDQR_CHECK(c.m() == rows && c.nb() == a_.nb(),
                   std::string(entry) + ": C must have " + std::to_string(rows) +
                       " rows in tiles of " + std::to_string(a_.nb()) +
@@ -497,34 +439,40 @@ class TiledQr {
 
   /// Allocates storage and fetches the (possibly cached) plan without
   /// executing; factorize() and FactorSession's async path both start here.
-  /// Routes on element shape: m < n factors by LQ on the transposed
-  /// (reduction) grid, everything else by QR. A disengaged `opt.tree`
+  /// The tiles arrive in their reduction layout with their factor kind, and
+  /// the plan runs on their grid under that kind. A disengaged `opt.tree`
   /// resolves to the Greedy/TT default here (the session paths resolve it
   /// through the autotuner before calling); the stored options always carry
   /// the tree actually used.
-  [[nodiscard]] static TiledQr prepare(TileMatrix<T> a, Options opt,
+  [[nodiscard]] static TiledQr prepare(ReductionTiles<T> in, Options opt,
                                        PlanCache& cache = PlanCache::default_cache()) {
     TiledQr qr;
     TILEDQR_CHECK(opt.ib >= 1, "Options::ib must be >= 1");
-    TILEDQR_CHECK(a.w() == a.nb(),
-                  "factorization input must have square nb x nb tiles (TileMatrix::operand "
-                  "tiles op(Q) operands, not factorization inputs)");
+    TILEDQR_ASSERT(in.tiles.w() == in.tiles.nb());
     if (opt.threads <= 0) opt.threads = default_thread_count();
     if (!opt.tree) opt.tree = trees::TreeConfig{};
     qr.opt_ = opt;
-    qr.a_ = std::move(a);
-    qr.kind_ =
-        qr.a_.m() < qr.a_.n() ? kernels::FactorKind::LQ : kernels::FactorKind::QR;
-    const int rp = qr.reduction_p(), rq = qr.reduction_q();
-    qr.plan_ = cache.get(rp, rq, *opt.tree, qr.kind_);
-    qr.t_ = TStore<T>(rp, rq, opt.ib, qr.a_.nb());
-    qr.t2_ = TStore<T>(rp, rq, opt.ib, qr.a_.nb());
+    qr.a_ = std::move(in.tiles);
+    qr.kind_ = in.kind;
+    if (qr.kind_ == kernels::FactorKind::LQ) qr.a_layout_ = std::make_shared<ALayout>();
+    const int p = qr.a_.mt(), q = qr.a_.nt();
+    qr.plan_ = cache.get(p, q, *opt.tree, qr.kind_);
+    qr.t_ = TStore<T>(p, q, opt.ib, qr.a_.nb());
+    qr.t2_ = TStore<T>(p, q, opt.ib, qr.a_.nb());
     return qr;
   }
 
+  /// An LQ factorization's tiles in A's layout, built by the first
+  /// factors() call.
+  struct ALayout {
+    std::once_flag built;
+    TileMatrix<T> tiles;
+  };
+
   Options opt_;
-  TileMatrix<T> a_;
+  TileMatrix<T> a_;  ///< the factored tiles in their reduction layout
   kernels::FactorKind kind_ = kernels::FactorKind::QR;
+  std::shared_ptr<ALayout> a_layout_;  ///< LQ only
   std::shared_ptr<const Plan> plan_;
   TStore<T> t_;
   TStore<T> t2_;

@@ -48,10 +48,10 @@ struct Task {
 /// Full task graph for one factorization.
 ///
 /// For LQ graphs (factor == FactorKind::LQ) the grid is the *reduction*
-/// grid — the tile grid of A^H, so p >= q always holds and every tree
+/// grid — the tile grid of Aᴴ, so p >= q always holds and every tree
 /// builder works unchanged — and tasks carry the LQ kernel kinds. Task
-/// coordinates live in the reduction grid; the executor maps coordinate
-/// (r, c) to the A-layout tile (c, r).
+/// coordinates are tiles of Aᴴ, which is what an LQ factorization stores,
+/// so each task runs its QR dual on them in place.
 struct TaskGraph {
   int p = 0;
   int q = 0;

@@ -5,21 +5,22 @@
 #include <cstdint>
 
 #include "kernels/householder.hpp"
-#include "kernels/lq_kernels.hpp"
 #include "kernels/tile_kernels.hpp"
 
 namespace tiledqr::kernels {
 
 /// Which factorization a plan/graph/kernel belongs to. QR reduces below the
 /// diagonal by columns (the paper's algorithm); LQ reduces right of the
-/// diagonal by rows, implemented by transpose duality over the QR kernels.
+/// diagonal by rows, run as the QR of Aᴴ on Aᴴ's tiles.
 enum class FactorKind : std::uint8_t { QR, LQ };
 
 [[nodiscard]] const char* factor_kind_name(FactorKind k) noexcept;
 
 /// The six tile kernels of Table 1, plus their LQ duals. The LQ kinds are
-/// ordered so that `kind - kNumQrKernelKinds` is the QR dual: GELQT wraps
-/// GEQRT on transposed tiles, UNMLQ wraps UNMQR, and so on.
+/// ordered so that `kind - kNumQrKernelKinds` is the QR dual: a GELQT task
+/// runs GEQRT in place on a tile of Aᴴ, an UNMLQ task UNMQR, and so on. They
+/// label an LQ factorization's tasks (its plan, tuning key and trace), not
+/// separate code.
 enum class KernelKind : std::uint8_t {
   GEQRT,
   UNMQR,
@@ -36,8 +37,8 @@ enum class KernelKind : std::uint8_t {
 };
 
 /// Distinct QR kernel shapes — the size of per-kernel weight/rate profiles.
-/// An LQ kernel shares its dual's profile slot (same flops, same microkernel
-/// work on transposed tiles), so profile arrays stay 6-wide.
+/// An LQ kernel shares its dual's profile slot (it is the same kernel call),
+/// so profile arrays stay 6-wide.
 inline constexpr int kNumQrKernelKinds = 6;
 
 /// Total enum size (QR + LQ), for name tables and per-kind histograms.
@@ -47,18 +48,18 @@ inline constexpr int kNumKernelKinds = 12;
   return int(k) >= kNumQrKernelKinds;
 }
 
-/// The QR kernel an LQ kernel wraps (identity on QR kinds).
+/// The QR kernel an LQ kind runs (identity on QR kinds).
 [[nodiscard]] constexpr KernelKind qr_dual(KernelKind k) noexcept {
   return is_lq_kernel(k) ? KernelKind(int(k) - kNumQrKernelKinds) : k;
 }
 
-/// The LQ kernel wrapping a QR kernel (identity on LQ kinds).
+/// The LQ kind of a QR kernel (identity on LQ kinds).
 [[nodiscard]] constexpr KernelKind lq_dual(KernelKind k) noexcept {
   return is_lq_kernel(k) ? k : KernelKind(int(k) + kNumQrKernelKinds);
 }
 
-/// Task weight in units of nb^3/3 flops (paper Table 1). An LQ kernel does
-/// exactly its dual's flops on transposed tiles.
+/// Task weight in units of nb^3/3 flops (paper Table 1). An LQ kind is its
+/// dual's kernel, with its dual's flops.
 [[nodiscard]] constexpr int kernel_weight(KernelKind k) noexcept {
   switch (qr_dual(k)) {
     case KernelKind::GEQRT: return 4;

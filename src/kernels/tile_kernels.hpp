@@ -23,8 +23,8 @@
 // the TT kernels' 2x flop advantage. detail::tpqrt factors both pairs.
 //
 // What each kernel reads is region-exact, which lets the DAG run kernels on
-// disjoint parts of one tile at once (and lq_kernels.hpp's adjoint copies
-// stay region-exact too):
+// disjoint parts of one tile at once (an LQ factorization runs these same
+// kernels on Aᴴ's tiles, so the rule covers it too):
 //  * UNMQR and GEQRT's trailing update read only the reflectors strictly
 //    below the tile diagonal, never R on and above it;
 //  * TTMQR reads only the zeroed tile's upper triangle (its tails), never

@@ -9,6 +9,9 @@
 //
 // Factorization inputs have square tiles (w == nb, from_dense), so the
 // factor kernels see full nb x nb tiles — exactly the model of the paper.
+// The LQ of a wide A runs as the QR of Aᴴ, so a wide input is tiled as Aᴴ
+// (from_dense_adjoint), and a caller-tiled one is adjointed tile by tile in
+// its own storage (adjoint()).
 // Operands op(Q) is applied to only need the factorization's row tiling, and
 // the apply kernels take any column count: operand() tiles them
 // nb x min(nb, ncols), so a single right-hand side is nb x 1 tiles rather
@@ -17,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -68,6 +72,58 @@ class TileMatrix {
     return tiled(a, nb, nb);
   }
 
+  /// Tiles Aᴴ from dense A in square nb x nb tiles (zero-padded): each tile
+  /// is one adjoint_copy of a block of A, with no A-layout intermediate.
+  [[nodiscard]] static TileMatrix from_dense_adjoint(ConstMatrixView<T> a, int nb) {
+    TileMatrix out(a.cols(), a.rows(), nb, nb);
+    out.fill_tiles(true, [&](MatrixView<T> dst, std::int64_t i0, std::int64_t j0) {
+      adjoint_copy(a.sub(j0, i0, dst.cols(), dst.rows()), dst);
+    });
+    return out;
+  }
+
+  /// The tiles of the adjoint matrix, in this matrix's storage (consumed;
+  /// square tiles only). Slot j * mt + i holds tile (i, j), whose adjoint
+  /// belongs in slot i * nt + j: each cycle of that permutation is walked
+  /// backwards, adjointing every tile into the slot it fills, with one tile
+  /// of scratch for the cycle's first. Padding moves with its tile, so zero
+  /// padding stays zero padding. It skips the new storage adjoint() const&
+  /// allocates, whose first touch costs more than the adjoint: for a
+  /// 512 x 4096 double A in 128 x 128 tiles this walk took 3.5-4.4 ms and
+  /// the copy 8-17 ms (one core, AVX-512 host).
+  [[nodiscard]] TileMatrix adjoint() && {
+    TILEDQR_CHECK(w_ == nb_, "adjoint: needs square nb x nb tiles");
+    const size_t tile = size_t(nb_) * size_t(nb_), slots = size_t(mt_) * size_t(nt_);
+    auto view = [&](T* p) { return MatrixView<T>(p, nb_, nb_, nb_); };
+    auto slot = [&](size_t s) { return view(data_.data() + s * tile); };
+    auto source = [&](size_t s) { return s % size_t(nt_) * size_t(mt_) + s / size_t(nt_); };
+    std::vector<T, DefaultInitAllocator<T>> first(tile);
+    std::vector<bool> done(slots);
+    for (size_t start = 0; start < slots; ++start) {
+      if (done[start]) continue;
+      std::copy_n(slot(start).data(), tile, first.data());
+      size_t to = start;
+      for (size_t from = source(to); from != start; to = from, from = source(to)) {
+        adjoint_copy(slot(from), slot(to));
+        done[to] = true;
+      }
+      adjoint_copy(view(first.data()), slot(to));
+      done[to] = true;
+    }
+    std::swap(m_, n_);
+    std::swap(mt_, nt_);
+    return std::move(*this);
+  }
+
+  /// The tiles of the adjoint matrix, as a new matrix (square tiles only).
+  [[nodiscard]] TileMatrix adjoint() const& {
+    TILEDQR_CHECK(w_ == nb_, "adjoint: needs square nb x nb tiles");
+    TileMatrix out(n_, m_, nb_, nb_);
+    for (int j = 0; j < nt_; ++j)
+      for (int i = 0; i < mt_; ++i) adjoint_copy(tile(i, j), out.tile(j, i));
+    return out;
+  }
+
   /// Builds a tiled copy of an op(Q) operand — a right-hand side or
   /// apply_q's C — in nb x min(nb, c.cols()) tiles: the factorization's row
   /// tiling with no column padding beyond the last tile column's. Not a
@@ -112,23 +168,35 @@ class TileMatrix {
     TILEDQR_ASSERT(w >= 1 && w <= nb);
   }
 
-  /// Tiles `a` in nb x w tiles, tile by tile in storage order: each column
-  /// of a tile is one copied segment of a column of `a` followed by its
-  /// padding, the only entries zeroed.
+  /// Tiles `a` in nb x w tiles: each column of a tile is one copied
+  /// segment of a column of `a`.
   [[nodiscard]] static TileMatrix tiled(ConstMatrixView<T> a, int nb, int w) {
     TileMatrix out(a.rows(), a.cols(), nb, w);
-    for (int jt = 0; jt < out.nt_; ++jt)
-      for (int it = 0; it < out.mt_; ++it) {
-        const std::int64_t i0 = std::int64_t(it) * nb, j0 = std::int64_t(jt) * w;
-        const std::int64_t rows = std::min<std::int64_t>(nb, out.m_ - i0);
-        const std::int64_t cols = std::min<std::int64_t>(w, out.n_ - j0);
-        T* dst = out.tile_data(it, jt);
-        for (std::int64_t jj = 0; jj < w; ++jj, dst += nb) {
-          T* pad = jj < cols ? std::copy_n(a.col(j0 + jj) + i0, rows, dst) : dst;
-          std::fill(pad, dst + nb, T(0));
-        }
-      }
+    out.fill_tiles(false, [&](MatrixView<T> dst, std::int64_t i0, std::int64_t j0) {
+      for (std::int64_t jj = 0; jj < dst.cols(); ++jj)
+        std::copy_n(a.col(j0 + jj) + i0, dst.rows(), dst.col(jj));
+    });
     return out;
+  }
+
+  /// Writes every tile: `logical(dst, i0, j0)` fills the tile's part of the
+  /// logical matrix, dst, whose top-left entry is (i0, j0); the padding
+  /// around it is the only part zeroed. Tiles go tile column by tile column,
+  /// or tile row by tile row when `by_rows` (the order that reads a source
+  /// being adjointed down its columns: 10-15% faster on a 512 x 4096 A).
+  template <typename F>
+  void fill_tiles(bool by_rows, F&& logical) {
+    for (int outer = 0; outer < (by_rows ? mt_ : nt_); ++outer)
+      for (int inner = 0; inner < (by_rows ? nt_ : mt_); ++inner) {
+        const int it = by_rows ? outer : inner, jt = by_rows ? inner : outer;
+        const std::int64_t i0 = std::int64_t(it) * nb_, j0 = std::int64_t(jt) * w_;
+        const std::int64_t rows = std::min<std::int64_t>(nb_, m_ - i0);
+        const std::int64_t cols = std::min<std::int64_t>(w_, n_ - j0);
+        const MatrixView<T> t = tile(it, jt);
+        logical(t.sub(0, 0, rows, cols), i0, j0);
+        for (std::int64_t jj = 0; jj < w_; ++jj)
+          std::fill(t.col(jj) + (jj < cols ? rows : 0), t.col(jj) + nb_, T(0));
+      }
   }
 
   [[nodiscard]] static int checked_nb(std::int64_t m, std::int64_t n, int nb) {

@@ -26,9 +26,9 @@ namespace tiledqr::obs {
 class KernelProfiler {
  public:
   /// One histogram per KernelKind — QR and LQ kinds are tracked separately
-  /// (the LQ wrappers pay extra adjoint copies, so their timings are
-  /// legitimately distinct), then folded into the dual's slot when a
-  /// 6-kernel WeightProfile is produced.
+  /// (an LQ kind runs its QR dual on Aᴴ's tiles, so the two split a
+  /// workload by factorization, not by kernel), then folded into the dual's
+  /// slot when a 6-kernel WeightProfile is produced.
   static constexpr int kKinds = kernels::kNumKernelKinds;
 
   /// Record one task of `kind` (kernels::KernelKind) taking `ns`. Kinds

@@ -115,7 +115,7 @@ KernelRates measure_kernel_rates(int nb, int ib, CacheMode mode, int reps) {
   KernelRates rates;
   auto sec = measure_kernel_seconds<T>(nb, ib, mode, reps);
   constexpr bool cplx = is_complex_v<T>;
-  // Rates are per QR kernel; the LQ wrappers share their dual's slot.
+  // Rates are per QR kernel; an LQ kind runs its dual and shares its slot.
   for (int k = 0; k < kernels::kNumQrKernelKinds; ++k) {
     double flops = kernels::kernel_flops(KernelKind(k), nb, cplx);
     rates.kernel[size_t(k)] = flops / sec[size_t(k)] * 1e-9;

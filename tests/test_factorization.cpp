@@ -182,10 +182,31 @@ TEST(Factorization, FloatPrecision) {
   EXPECT_LE(double(orthogonality_error<float>(q.view())), 1e-4);
 }
 
-TEST(Factorization, HardInputsKeepBoundsOnEveryTier) {
-  // Graded columns (1 down to 1e-12) and entries scaled near overflow
-  // (2^600) and underflow (2^-600): every SIMD tier's summation order must
-  // keep the residual and orthogonality bounds.
+/// ||A - Q R|| / ||A|| for a QR, ||A - L Q|| / ||A|| for an LQ (wide A).
+template <typename T>
+double residual_of(const Matrix<T>& a, const TiledQr<T>& f) {
+  if (f.kind() == kernels::FactorKind::QR) return factorization_residual(a, f);
+  auto l = f.l_factor();
+  auto q = f.q_thin();
+  Matrix<T> prod(a.rows(), a.cols());
+  blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(1), l.view(), q.view(), T(0), prod.view());
+  return double(difference_norm<T>(a.view(), prod.view()) / frobenius_norm<T>(a.view()));
+}
+
+template <typename T>
+Matrix<T> adjoint_of(const Matrix<T>& a) {
+  Matrix<T> h(a.cols(), a.rows());
+  for (std::int64_t j = 0; j < a.cols(); ++j)
+    for (std::int64_t i = 0; i < a.rows(); ++i) h(j, i) = conj_if_complex(a(i, j));
+  return h;
+}
+
+/// Graded columns (1 down to 1e-12) and entries scaled near overflow
+/// (2^600) and underflow (2^-600), tall and as the wide transpose (LQ):
+/// every SIMD tier's summation order must keep the residual and the column
+/// (QR) or row (LQ) orthogonality bounds.
+template <typename T>
+void hard_inputs_keep_bounds() {
   namespace simd = blas::simd;
   struct TierRestore {
     simd::Tier saved = simd::active_tier();
@@ -196,15 +217,16 @@ TEST(Factorization, HardInputsKeepBoundsOnEveryTier) {
     int nb, ib;
   };
   for (const Shape s : {Shape{192, 96, 24, 5}, Shape{512, 256, 128, 32}}) {
-    auto graded = random_matrix<double>(s.m, s.n, 29);
-    auto big = random_matrix<double>(s.m, s.n, 31);
-    auto tiny = random_matrix<double>(s.m, s.n, 37);
+    auto graded = random_matrix<T>(s.m, s.n, 29);
+    auto big = random_matrix<T>(s.m, s.n, 31);
+    auto tiny = random_matrix<T>(s.m, s.n, 37);
+    const RealType<T> up = std::ldexp(1.0, 600), down = std::ldexp(1.0, -600);
     for (std::int64_t j = 0; j < s.n; ++j) {
-      const double g = std::pow(1e-12, double(j) / double(s.n - 1));
+      const RealType<T> g = std::pow(1e-12, double(j) / double(s.n - 1));
       for (std::int64_t i = 0; i < s.m; ++i) {
         graded(i, j) *= g;
-        big(i, j) = std::ldexp(big(i, j), 600);
-        tiny(i, j) = std::ldexp(tiny(i, j), -600);
+        big(i, j) *= up;  // powers of two: exact
+        tiny(i, j) *= down;
       }
     }
     Options opt;
@@ -212,18 +234,23 @@ TEST(Factorization, HardInputsKeepBoundsOnEveryTier) {
     opt.ib = s.ib;
     for (simd::Tier tier : simd::available_tiers()) {
       ASSERT_TRUE(simd::set_tier(tier));
-      for (const auto& [label, a] : {std::pair{"graded", &graded}, std::pair{"2^600", &big},
-                                     std::pair{"2^-600", &tiny}}) {
-        auto qr = TiledQr<double>::factorize(a->view(), opt);
-        const std::string where = std::string(simd::tier_name(tier)) + " " + label + " " +
-                                  std::to_string(s.m) + "x" + std::to_string(s.n);
-        EXPECT_LE(factorization_residual(*a, qr), Tolerance<double>::value) << where;
-        auto q = qr.q_thin();
-        EXPECT_LE(double(orthogonality_error<double>(q.view())), Tolerance<double>::value)
-            << where;
-      }
+      for (const auto& [label, tall] : {std::pair{"graded", &graded}, std::pair{"2^600", &big},
+                                        std::pair{"2^-600", &tiny}})
+        for (const Matrix<T>& a : {*tall, adjoint_of(*tall)}) {
+          auto f = TiledQr<T>::factorize(a.view(), opt);
+          const std::string where = std::string(simd::tier_name(tier)) + " " + label + " " +
+                                    std::to_string(a.rows()) + "x" + std::to_string(a.cols());
+          EXPECT_LE(residual_of(a, f), Tolerance<T>::value) << where;
+          auto q = f.q_thin();
+          EXPECT_LE(double(orthogonality_error<T>(q.view())), Tolerance<T>::value) << where;
+        }
     }
   }
+}
+
+TEST(Factorization, HardInputsKeepBoundsOnEveryTier) {
+  hard_inputs_keep_bounds<double>();
+  hard_inputs_keep_bounds<std::complex<double>>();
 }
 
 }  // namespace

@@ -8,9 +8,12 @@
 // entries).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/plan_cache.hpp"
@@ -42,31 +45,34 @@ double lq_residual(const Matrix<T>& a, const TiledQr<T>& lq) {
 }
 
 /// Sequential per-matrix LQ replay (runtime::execute on one thread): the
-/// plan lives on the reduction grid (nt, mt) and the kernels run on the
-/// A-layout tiles — the reference every scheduled LQ result must match bit
-/// for bit.
+/// plan runs on Aᴴ's tiles, its reduction grid, and the factored tiles are
+/// adjointed back to A's layout — the reference every scheduled LQ result
+/// must match bit for bit.
 Matrix<double> replay_sequential_lq(const Matrix<double>& a, int nb, int ib,
                                     const TreeConfig& tree) {
-  auto tiles = TileMatrix<double>::from_dense(a.view(), nb);
-  auto plan = core::make_plan(tiles.nt(), tiles.mt(), tree, FactorKind::LQ);
-  core::TStore<double> ts(tiles.nt(), tiles.mt(), ib, tiles.nb());
-  core::TStore<double> t2s(tiles.nt(), tiles.mt(), ib, tiles.nb());
+  auto tiles = TileMatrix<double>::from_dense_adjoint(a.view(), nb);
+  auto plan = core::make_plan(tiles.mt(), tiles.nt(), tree, FactorKind::LQ);
+  core::TStore<double> ts(tiles.mt(), tiles.nt(), ib, tiles.nb());
+  core::TStore<double> t2s(tiles.mt(), tiles.nt(), ib, tiles.nb());
   runtime::execute(
       plan.graph,
       [&](std::int32_t idx) {
         core::run_task_kernels(plan.graph.tasks[size_t(idx)], tiles, ts, t2s, ib);
       },
       1);
-  return tiles.to_dense();
+  return std::move(tiles).adjoint().to_dense();
 }
 
-void expect_bitwise(const Matrix<double>& got, const Matrix<double>& want,
-                    const std::string& what) {
+template <typename T>
+void expect_bitwise(const Matrix<T>& got, const Matrix<T>& want, const std::string& what) {
   ASSERT_EQ(got.rows(), want.rows()) << what;
   ASSERT_EQ(got.cols(), want.cols()) << what;
   for (std::int64_t j = 0; j < got.cols(); ++j)
-    for (std::int64_t i = 0; i < got.rows(); ++i)
-      ASSERT_EQ(got(i, j), want(i, j)) << what << " at (" << i << "," << j << ")";
+    for (std::int64_t i = 0; i < got.rows(); ++i) {
+      const T g = got(i, j), w = want(i, j);  // memcmp: -0 and +0 differ
+      ASSERT_EQ(std::memcmp(&g, &w, sizeof(T)), 0)
+          << what << " at (" << i << "," << j << "): " << g << " vs " << w;
+    }
 }
 
 // ------------------------------------------------------- numerical quality --
@@ -106,16 +112,6 @@ TEST(LqFactorization, ResidualAndOrthogonalityAcrossTrees) {
   }
 }
 
-/// Bitwise equality of two dense matrices of any scalar type.
-template <typename T>
-void expect_same_bits(const Matrix<T>& got, const Matrix<T>& want, const std::string& what) {
-  ASSERT_EQ(got.rows(), want.rows()) << what;
-  ASSERT_EQ(got.cols(), want.cols()) << what;
-  for (std::int64_t j = 0; j < got.cols(); ++j)
-    for (std::int64_t i = 0; i < got.rows(); ++i)
-      ASSERT_TRUE(got(i, j) == want(i, j)) << what << " at (" << i << "," << j << ")";
-}
-
 template <typename T>
 Matrix<T> adjoint(const Matrix<T>& a) {
   Matrix<T> h(a.cols(), a.rows());
@@ -125,7 +121,8 @@ Matrix<T> adjoint(const Matrix<T>& a) {
 }
 
 /// The LQ of A is the QR of Aᴴ, bit for bit, under the same explicit tree:
-/// its factored tiles, L and Q are the adjoints of the QR's tiles, R and Q̃.
+/// its factored tiles, L and Q are the adjoints of the QR's tiles, R and Q̃,
+/// except that L is +0 above its diagonal where Rᴴ holds conjugated zeros.
 template <typename T>
 void expect_lq_is_adjoint_qr(const Matrix<T>& a, const Options& opt, const std::string& what) {
   const Matrix<T> ah = adjoint(a);
@@ -133,9 +130,11 @@ void expect_lq_is_adjoint_qr(const Matrix<T>& a, const Options& opt, const std::
   const auto qr = TiledQr<T>::factorize(ConstMatrixView<T>(ah.view()), opt);
   ASSERT_EQ(lq.kind(), FactorKind::LQ) << what;
   ASSERT_EQ(qr.kind(), FactorKind::QR) << what;
-  expect_same_bits(lq.factors().to_dense(), adjoint(qr.factors().to_dense()), what + " factors");
-  expect_same_bits(lq.l_factor(), adjoint(qr.r_factor()), what + " L");
-  expect_same_bits(lq.q_thin(), adjoint(qr.q_thin()), what + " Q");
+  expect_bitwise(lq.factors().to_dense(), adjoint(qr.factors().to_dense()), what + " factors");
+  Matrix<T> rh = adjoint(qr.r_factor());
+  for (std::int64_t j = 1; j < rh.cols(); ++j) std::fill_n(rh.view().col(j), j, T(0));
+  expect_bitwise(lq.l_factor(), rh, what + " L");
+  expect_bitwise(lq.q_thin(), adjoint(qr.q_thin()), what + " Q");
 }
 
 TEST(LqFactorization, IsTheAdjointOfQrOfTheTranspose) {
@@ -216,6 +215,26 @@ TEST(LqFactorization, BitwiseDeterministicAcrossPinSweep) {
   old_pin ? setenv("TILEDQR_PIN", old_pin, 1) : unsetenv("TILEDQR_PIN");
 }
 
+TEST(LqFactorization, FactorsFromFourThreadsAtOnceAgree) {
+  // factors() hands back A's m x n layout; four threads asking for it at
+  // once on one wide factorization all read the sequential replay's bits.
+  Options opt;
+  opt.tree = TreeConfig{};
+  opt.nb = 16;
+  opt.ib = 8;
+  opt.threads = 2;
+  auto a = random_matrix<double>(2 * 16 - 3, 5 * 16 - 1, 915);
+  const auto want = replay_sequential_lq(a, opt.nb, opt.ib, *opt.tree);
+  const auto lq = TiledQr<double>::factorize(a.view(), opt);
+  std::vector<Matrix<double>> got(4);
+  {
+    std::vector<std::jthread> readers;
+    for (auto& g : got) readers.emplace_back([&lq, &g] { g = lq.factors().to_dense(); });
+  }
+  for (size_t i = 0; i < got.size(); ++i)
+    expect_bitwise(got[i], want, "reader " + std::to_string(i));
+}
+
 // ------------------------------------------------------------ shape routing --
 
 TEST(LqRouting, WideShapesRouteThroughEverySessionPath) {
@@ -234,6 +253,14 @@ TEST(LqRouting, WideShapesRouteThroughEverySessionPath) {
   auto sub = session.submit<double>(ConstMatrixView<double>(a.view()), opt).get();
   ASSERT_EQ(sub.kind(), FactorKind::LQ);
   expect_bitwise(sub.factors().to_dense(), want, "submit");
+  // A caller-tiled wide A is adjointed in its own storage: same bits.
+  auto tiled = session.submit(TileMatrix<double>::from_dense(a.view(), opt.nb), opt).get();
+  ASSERT_EQ(tiled.kind(), FactorKind::LQ);
+  expect_bitwise(tiled.factors().to_dense(), want, "submit of caller tiles");
+  expect_bitwise(TiledQr<double>::factorize(TileMatrix<double>::from_dense(a.view(), opt.nb), opt)
+                     .factors()
+                     .to_dense(),
+                 want, "factorize of caller tiles");
 
   QrSession::StreamOptions sopt;
   sopt.nb = opt.nb;
@@ -241,10 +268,12 @@ TEST(LqRouting, WideShapesRouteThroughEverySessionPath) {
   sopt.tree = tree;
   auto stream = session.stream<double>(sopt);
   auto pushed = stream.push(ConstMatrixView<double>(a.view()));
+  auto pushed_tiles = stream.push(TileMatrix<double>::from_dense(a.view(), opt.nb));
   stream.close();
   auto streamed = pushed.get();
   ASSERT_EQ(streamed.kind(), FactorKind::LQ);
   expect_bitwise(streamed.factors().to_dense(), want, "stream push");
+  expect_bitwise(pushed_tiles.get().factors().to_dense(), want, "stream push of caller tiles");
 }
 
 TEST(LqRouting, WideInputsRunTheBatchSolveAndApplyPaths) {

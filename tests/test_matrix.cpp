@@ -5,6 +5,7 @@
 #include <cmath>
 #include <complex>
 #include <string>
+#include <utility>
 
 #include "matrix/generate.hpp"
 #include "matrix/matrix.hpp"
@@ -102,6 +103,39 @@ TYPED_TEST(MatrixTyped, TilingMatchesElementwiseCopyAndZeroesOnlyPadding) {
             ASSERT_EQ(t.at(i, j), a(i, j)) << what;
           }
       }
+    }
+  }
+}
+
+TYPED_TEST(MatrixTyped, AdjointTilingsMatchTheElementwiseAdjoint) {
+  // Aᴴ's tiles three ways — tiled straight from dense A, adjointed in A's
+  // own tile storage, and as a new matrix from A's tiles — against the
+  // element-wise adjoint: every stored entry, padding included (zero), for
+  // ragged and exact tilings and tile grids with mt < nt, mt == nt, mt > nt.
+  using T = TypeParam;
+  const int nb = 4;
+  for (const auto& [m, n] : {std::pair{6, 17}, std::pair{8, 8}, std::pair{13, 5},
+                             std::pair{3, 3}, std::pair{4, 12}}) {
+    const auto a = random_matrix<T>(m, n, unsigned(31 * m + n));
+    const auto tiles = TileMatrix<T>::from_dense(a.view(), nb);
+    const TileMatrix<T> ways[] = {TileMatrix<T>::from_dense_adjoint(a.view(), nb),
+                                  TileMatrix<T>(tiles).adjoint(), tiles.adjoint()};
+    for (int w = 0; w < 3; ++w) {
+      const std::string what = "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                               " way " + std::to_string(w);
+      const TileMatrix<T>& t = ways[w];
+      ASSERT_EQ(t.m(), n) << what;
+      ASSERT_EQ(t.n(), m) << what;
+      ASSERT_EQ(t.mt(), tiles.nt()) << what;
+      ASSERT_EQ(t.nt(), tiles.mt()) << what;
+      for (int jt = 0; jt < t.nt(); ++jt)
+        for (int it = 0; it < t.mt(); ++it)
+          for (int c = 0; c < nb; ++c)
+            for (int r = 0; r < nb; ++r) {
+              const std::int64_t i = std::int64_t(it) * nb + r, j = std::int64_t(jt) * nb + c;
+              const T want = i < n && j < m ? conj_if_complex(a(j, i)) : T(0);
+              ASSERT_EQ(t.tile(it, jt)(r, c), want) << what << " at (" << i << "," << j << ")";
+            }
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <future>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "core/qr_session.hpp"
 #include "core/tiled_qr.hpp"
@@ -241,6 +242,17 @@ TEST(Solve, ShapeChecksThrow) {
   EXPECT_THROW((void)qr.solve(bad.view()), Error);  // not square
   TileMatrix<double> wrong_tiling(24, 8, 6);
   EXPECT_THROW(qr.apply_q(ApplyTrans::NoTrans, wrong_tiling), Error);
+  // The wide transpose: a rhs has A's 8 rows, not the 24 of Aᴴ's tile grid,
+  // and an op(Q) operand the 24 rows of the transposed world.
+  auto wide = random_matrix<double>(8, 24, 51);
+  auto lq = TiledQr<double>::factorize(wide.view(), small_opts());
+  for (std::int64_t rows : {7, 24}) {
+    auto b = random_matrix<double>(rows, 1, 53);
+    EXPECT_THROW((void)lq.solve_least_squares(b.view()), Error) << rows;
+    EXPECT_THROW((void)lq.solve(b.view()), Error) << rows;
+  }
+  TileMatrix<double> wrong_wide_tiling(24, 8, 6);
+  EXPECT_THROW(lq.apply_q(ApplyTrans::NoTrans, wrong_wide_tiling), Error);
 }
 
 TEST(Solve, NbLargerThanM) {
@@ -282,24 +294,28 @@ TEST(Solve, OneByOneTileGrid) {
 }
 
 TEST(Solve, ZeroColumnRhsIsAValidDegenerateSystem) {
-  const int m = 40, n = 24;
-  auto a = random_matrix<double>(m, n, 83);
-  auto qr = TiledQr<double>::factorize(a.view(), small_opts());
-  Matrix<double> b(m, 0);
-  auto x = qr.solve_least_squares(b.view());
-  EXPECT_EQ(x.rows(), n);
-  EXPECT_EQ(x.cols(), 0);
-  // The async pipeline handles the same degenerate rhs (both flavors).
+  // Tall and its wide transpose: x is n x 0 either way, n being A's column
+  // count (for the wide case not the row count of Aᴴ's tile grid).
   core::QrSession session(core::QrSession::Config{2});
-  auto x2 = session.solve_least_squares_async(qr, ConstMatrixView<double>(b.view())).get();
-  EXPECT_EQ(x2.rows(), n);
-  EXPECT_EQ(x2.cols(), 0);
-  auto x3 = session
-                .solve_least_squares_async(ConstMatrixView<double>(a.view()),
-                                           ConstMatrixView<double>(b.view()), small_opts())
-                .get();
-  EXPECT_EQ(x3.rows(), n);
-  EXPECT_EQ(x3.cols(), 0);
+  for (const auto& [m, n] : {std::pair{40, 24}, std::pair{24, 40}}) {
+    SCOPED_TRACE(std::to_string(m) + " x " + std::to_string(n));
+    auto a = random_matrix<double>(m, n, 83);
+    auto qr = TiledQr<double>::factorize(a.view(), small_opts());
+    Matrix<double> b(m, 0);
+    auto x = qr.solve_least_squares(b.view());
+    EXPECT_EQ(x.rows(), n);
+    EXPECT_EQ(x.cols(), 0);
+    // The async pipeline handles the same degenerate rhs (both flavors).
+    auto x2 = session.solve_least_squares_async(qr, ConstMatrixView<double>(b.view())).get();
+    EXPECT_EQ(x2.rows(), n);
+    EXPECT_EQ(x2.cols(), 0);
+    auto x3 = session
+                  .solve_least_squares_async(ConstMatrixView<double>(a.view()),
+                                             ConstMatrixView<double>(b.view()), small_opts())
+                  .get();
+    EXPECT_EQ(x3.rows(), n);
+    EXPECT_EQ(x3.cols(), 0);
+  }
 }
 
 TEST(Solve, MismatchedRowTilingErrorPaths) {
@@ -332,6 +348,18 @@ TEST(Solve, MismatchedRowTilingErrorPaths) {
   auto ragged = random_matrix<double>(17, 2, 91);
   auto wide = random_matrix<double>(8, 24, 93);
   auto lq = TiledQr<double>::factorize(wide.view(), small_opts());
+  // A wide A's rhs has its m rows: one with its n rows (Aᴴ's tile grid) is
+  // refused by both async solves.
+  auto wide_b = random_matrix<double>(24, 1, 95);
+  EXPECT_THROW(
+      (void)session.solve_least_squares_async(lq, ConstMatrixView<double>(wide_b.view())).get(),
+      Error);
+  EXPECT_THROW((void)session
+                   .solve_least_squares_async(ConstMatrixView<double>(wide.view()),
+                                              ConstMatrixView<double>(wide_b.view()),
+                                              small_opts())
+                   .get(),
+               Error);
   for (const TiledQr<double>* f : {&qr, &lq}) {
     auto c = TileMatrix<double>::operand(ragged.view(), 8);
     ASSERT_EQ(c.mt(), 3);
