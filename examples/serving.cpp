@@ -215,10 +215,10 @@ int main(int argc, char** argv) {
               tuning.misses, tuning.entries);
   std::printf("plan cache: %ld hits / %ld misses (hit rate %.3f), fused: %ld hits / %ld misses\n",
               cache.hits, cache.misses, cache.hit_rate(), cache.fused_hits, cache.fused_misses);
-  std::printf("pool: %ld tasks executed, %ld stolen, %ld graphs, %ld streams opened "
-              "(%ld still live)\n",
+  std::printf("pool: %ld tasks executed, %ld stolen, %ld graphs (stream grafts: %.0f bulk, "
+              "%.0f interactive)\n",
               pool.tasks_executed, pool.tasks_stolen, pool.graphs_completed,
-              pool.streams_opened, pool.streams_live);
+              metric("stream.bulk.components"), metric("stream.interactive.components"));
 
   // Under TILEDQR_TRACE the whole run was recorded; summarize where the
   // workers spent their time (the raw events export at process exit).

@@ -10,10 +10,11 @@
 // QRs cheap (scheduling overhead, not flops, dominates there — paper §2.3 /
 // ROADMAP).
 //
-// The cache also memoizes *fused* plans — the disjoint union of `count`
-// copies of a base plan's DAG — so a homogeneous factorize_batch pays the
-// graph concatenation once per (shape, count) and every later batch of that
-// shape is a single hash lookup + one pool submission.
+// The cache also memoizes *fused* plans for homogeneous batches: a thin
+// {base plan, count} descriptor that the pool schedules as `count` replicas
+// of the base graph (ThreadPool::submit's `copies`), so no count x base
+// graph is ever built and every batch of a cached shape is a single hash
+// lookup + one pool submission.
 //
 // Entries are LRU-ordered and can be bounded by a byte budget
 // (set_byte_budget), sized by an estimate of each plan's heap footprint.
@@ -43,7 +44,7 @@ class PlanCache {
     long misses = 0;        ///< base-plan lookups that had to plan
     size_t entries = 0;     ///< live base-plan entries
     long fused_hits = 0;    ///< fused-plan lookups served from the cache
-    long fused_misses = 0;  ///< fused-plan lookups that had to concatenate
+    long fused_misses = 0;  ///< fused-plan lookups that had to build one
     size_t fused_entries = 0;  ///< live fused-plan entries
     long evictions = 0;     ///< entries dropped to fit the byte budget
     size_t bytes = 0;       ///< estimated heap footprint of live entries

@@ -25,7 +25,7 @@
 //   auto stream = session.stream<double>();        // streaming fusion
 //   auto f1 = stream.push(a1.view());              // futures immediately;
 //   auto s2 = stream.push_solve(a2.view(), b2.view());  // pushes coalesce
-//   stream.close();                                // into the live submission
+//   stream.close();                                // into fused grafts
 //
 // One request path. Every entry point — submit, submit_batch, both
 // solve_least_squares_async overloads, apply_q_async, and every FactorStream
@@ -37,18 +37,19 @@
 //     Done, each step once, by CAS, asserted in debug builds.
 //   * launch() picks one graph for a component's parts — a lone part's own
 //     plan, the PlanCache's fused plan for parts sharing a plan (one deal, one
-//     cached scheduling-key vector), else one ad-hoc fusion — and arms a
-//     per-part sentinel: the last retiring task of a fused part ends its
-//     stage, so parts resolve as they drain. The completion callback settles
-//     the rest: a lone part's stage, and the parts a cancelled component left
-//     unfinished. A solve's factor stage ends by building its apply stage
-//     (TiledQr::start_solve owns the QR-vs-LQ stage order), its apply stage
-//     with TiledQr::finish_solve.
-//   * The request's Route is where components go: one-shot entry points make
-//     each its own pool submission (spread dealing, the caller's worker cap),
-//     so concurrent one-shots never wait behind each other; a FactorStream
-//     appends it to its live pool stream (component-affine dealing) when its
-//     cork, watermark, deadline and backpressure policy says so.
+//     cached scheduling-key vector), else one ad-hoc fusion — arms a per-part
+//     sentinel (the last retiring task of a fused part ends its stage, so
+//     parts resolve as they drain) and makes the component one pool
+//     submission. The completion callback settles the rest: a lone part's
+//     stage, and the parts a cancelled component left unfinished. A solve's
+//     factor stage ends by building its apply stage (TiledQr::start_solve
+//     owns the QR-vs-LQ stage order), its apply stage with
+//     TiledQr::finish_solve.
+//   * The request's Route decides when components launch and how many
+//     workers each may occupy: one-shot entry points launch at once under
+//     the caller's worker cap, so concurrent one-shots never wait behind each
+//     other; a FactorStream launches its grafts under the stream's cap when
+//     its cork, watermark, deadline and backpressure policy says so.
 //
 // So a submit is a one-part batch, a homogeneous batch one fused component,
 // a solve two components (factor, apply), and a streamed burst one graft per
@@ -109,20 +110,18 @@ enum class Stage : std::uint8_t { Factoring, Applying, Done };
 template <typename T>
 struct Request;
 
-/// Where a request's components run and who hears of its progress: the
-/// session's one-shot pool submissions (FactorSession::OneShot) or a
-/// stream's live submission (FactorStream::State).
+/// How many workers a request's components may occupy and who hears of its
+/// progress: the session's one-shot entry points (FactorSession::OneShot) or
+/// a stream (FactorStream::State).
 template <typename T>
 struct Route {
   Route() = default;
   Route(const Route&) = delete;
   Route& operator=(const Route&) = delete;
   virtual ~Route() = default;
-  /// Runs one component: `fused`'s graph, `body` per task, `done` once every
-  /// task retired (the ThreadPool::submit contract).
-  virtual void send(const FusedPlan& fused, std::function<void(std::int32_t)> body,
-                    std::function<void(std::exception_ptr)> done,
-                    std::shared_ptr<const void> keepalive) = 0;
+  /// The ThreadPool worker cap of a component of `parts` requests; 0 = the
+  /// whole pool.
+  [[nodiscard]] virtual int workers(int parts) const = 0;
   /// A request's apply stage is built; called by the task that ended its
   /// factor stage (or by the entry point, for a borrowed factorization).
   virtual void apply_ready(std::shared_ptr<Request<T>> req) = 0;
@@ -281,7 +280,7 @@ class FactorSession {
   struct StreamOptions {
     int nb = 128;          ///< tile size for dense pushes
     int ib = 32;           ///< inner blocking of the kernels
-    int threads = 0;       ///< worker cap for the whole stream; 0 = whole pool
+    int threads = 0;       ///< worker cap of each graft; 0 = whole pool
     int max_pending = 32;  ///< coalescing bound: a flush is forced at this depth
     std::optional<trees::TreeConfig> tree{};  ///< disengaged = autotune per shape
     /// Backpressure: bound on requests admitted but not yet resolved
@@ -396,11 +395,11 @@ class FactorSession {
     return collect_batch(submit_batch(std::move(mats), opt));
   }
 
-  /// Opens a streaming submission on the session pool: a FactorStream whose
-  /// push()/push_solve() return futures immediately and coalesce into the
-  /// live fused submission (see the header comment). The stream must not
-  /// outlive the session. `opt.threads` caps the pool workers the whole
-  /// stream may occupy (same clamping rule as everywhere).
+  /// Opens a stream on the session pool: a FactorStream whose
+  /// push()/push_solve() return futures immediately and coalesce into fused
+  /// grafts (see the header comment). The stream must not outlive the
+  /// session. `opt.threads` caps the pool workers each graft may occupy
+  /// (same clamping rule as everywhere).
   template <typename T>
   [[nodiscard]] FactorStream<T> stream(StreamOptions opt = {});
 
@@ -575,26 +574,18 @@ class FactorSession {
   template <typename U>
   friend class FactorStream;
 
-  /// The one-shot route: each component is its own closed pool submission
-  /// (spread dealing) capped at the request's worker cap — times the part
-  /// count for a fused batch, the aggregate concurrency per-matrix
-  /// submissions had (the cap arrives pre-clamped, so the product cannot
-  /// overflow). A solve's apply stage launches as soon as its factorization
-  /// drains.
+  /// The one-shot route: each component is capped at the request's worker
+  /// cap — times the part count for a fused batch, the aggregate concurrency
+  /// per-matrix submissions had (the cap arrives pre-clamped, so the product
+  /// cannot overflow). A solve's apply stage launches as soon as its
+  /// factorization drains.
   template <typename T>
   struct OneShot final : detail::Route<T> {
     OneShot(FactorSession& s, int c) : session(s), cap(c) {}
 
-    void send(const FusedPlan& fused, std::function<void(std::int32_t)> body,
-              std::function<void(std::exception_ptr)> done,
-              std::shared_ptr<const void> keepalive) override {
-      const int workers =
-          cap > 0 ? int(std::min<long>(long(session.pool_.size()),
-                                       long(cap) * long(fused.part_count())))
-                  : 0;
-      session.pool_.submit(fused.component_graph(), std::move(body), std::move(done),
-                           runtime::SchedulePriority::CriticalPath, workers, std::move(keepalive),
-                           &fused.component_ranks(), fused.copies());
+    int workers(int parts) const override {
+      return cap > 0 ? int(std::min<long>(long(session.pool_.size()), long(cap) * long(parts)))
+                     : 0;
     }
     void apply_ready(std::shared_ptr<detail::Request<T>> req) override {
       session.launch<T>({std::move(req)});
@@ -614,13 +605,13 @@ class FactorSession {
     detail::Stage stage = detail::Stage::Factoring;
   };
 
-  /// The one launch: every component of every entry point starts here.
-  /// `parts` (non-empty) share a route and a stage. Picks the component
-  /// graph (fuse), arms each part's sentinel, and sends the component down
-  /// the route; each part's stage ends (Request::stage_done) on the worker
-  /// that retires its last task. A component that cannot launch — its
-  /// fusion fails to build, or a closed stream refuses it — fails only its
-  /// own parts and still counts as retired, so nothing queued behind it
+  /// The one launch: every component of every entry point starts here, as
+  /// one pool submission under its route's worker cap. `parts` (non-empty)
+  /// share a route and a stage. Picks the component graph (fuse), arms each
+  /// part's sentinel, and submits; each part's stage ends
+  /// (Request::stage_done) on the worker that retires its last task. A
+  /// component that cannot launch — its fusion fails to build — fails only
+  /// its own parts and still counts as retired, so nothing queued behind it
   /// strands.
   template <typename T>
   void launch(std::vector<std::shared_ptr<detail::Request<T>>> parts) {
@@ -634,8 +625,9 @@ class FactorSession {
         TILEDQR_ASSERT(l->parts[i]->stage.load(std::memory_order_relaxed) == l->stage);
         l->parts[i]->remaining.store(l->fused->part_size(int(i)), std::memory_order_relaxed);
       }
-      route.send(
-          *l->fused,
+      const FusedPlan& component = *l->fused;
+      pool_.submit(
+          component.component_graph(),
           [raw = l.get()](std::int32_t idx) {
             const FusedPlan& fused = *raw->fused;
             const auto& req = raw->parts[size_t(fused.part_of(idx))];
@@ -666,7 +658,8 @@ class FactorSession {
               }
             raw->parts.front()->route->retired();
           },
-          l);
+          runtime::SchedulePriority::CriticalPath, route.workers(component.part_count()), l,
+          &component.component_ranks(), component.copies());
     } catch (...) {
       const std::exception_ptr error = std::current_exception();
       for (const auto& req : l->parts) req->fail(error);
@@ -854,11 +847,11 @@ using QrSession = FactorSession;
 
 /// Streaming fusion handle (FactorSession::stream). push()/push_solve() return
 /// futures immediately; requests accumulate while the stream's in-flight
-/// work drains and every flush grafts them — one launch per plan, fused
-/// through the session PlanCache when it carries several requests — onto
-/// the live pool submission. The amount of fusion adapts to the arrival
-/// rate: an idle stream grafts a push immediately (latency), a busy stream
-/// coalesces everything that arrived while it was busy (throughput).
+/// work drains and every flush grafts them — one launch, and so one pool
+/// submission, per plan, fused through the session PlanCache when it carries
+/// several requests. The amount of fusion adapts to the arrival rate: an
+/// idle stream grafts a push immediately (latency), a busy stream coalesces
+/// everything that arrived while it was busy (throughput).
 ///
 ///   auto stream = session.stream<double>();
 ///   auto f = stream.push(a.view());        // future resolves independently
@@ -892,7 +885,7 @@ class FactorStream {
  public:
   struct Stats {
     long pushed = 0;      ///< requests accepted (push + push_solve)
-    long components = 0;  ///< grafts appended to the live submission
+    long components = 0;  ///< grafts launched, one pool submission each
     long fused_requests = 0;  ///< requests that rode a multi-request graft
     long pending = 0;     ///< requests accumulated, not yet grafted
     long unresolved = 0;  ///< admitted requests whose future hasn't resolved
@@ -909,7 +902,7 @@ class FactorStream {
   /// Move-assign closes the overwritten stream first (re-opening a stream
   /// in place is normal server code); a defaulted move would orphan its
   /// shared state with no handle left to ever close it — leaking the
-  /// deadline thread, the pool submission, and the live-stream gauge slot.
+  /// deadline thread and stranding a corked backlog.
   FactorStream& operator=(FactorStream&& other) noexcept {
     if (this != &other) {
       close_quietly();
@@ -924,10 +917,10 @@ class FactorStream {
 
   /// Factorize a dense matrix (copied into tiled layout here, on the
   /// calling thread). Returns a future that resolves when this request's
-  /// component of the live submission drains. An input that fails to tile or
-  /// plan resolves its future with the exception (pushing on a closed stream
-  /// still throws — that is a caller bug, not a request failure). A stream
-  /// at its max_queued bound blocks here or fails the future, per
+  /// part of its graft drains. An input that fails to tile or plan resolves
+  /// its future with the exception (pushing on a closed stream still throws
+  /// — that is a caller bug, not a request failure). A stream at its
+  /// max_queued bound blocks here or fails the future, per
   /// StreamOptions::overflow; admission happens before tiling, so a blocked
   /// or rejected push allocates nothing.
   [[nodiscard]] std::future<TiledQr<T>> push(ConstMatrixView<T> a) {
@@ -973,8 +966,8 @@ class FactorStream {
     flush();
   }
 
-  /// Grafts all pending requests — corked or not: an explicit flush is the
-  /// caller's own uncorking — onto the live submission immediately.
+  /// Grafts all pending requests now — corked or not: an explicit flush is
+  /// the caller's own uncorking.
   void flush() {
     TILEDQR_CHECK(valid(), "FactorStream::flush: moved-from or empty stream handle");
     graft_now(/*corked_too=*/true);
@@ -1009,19 +1002,12 @@ class FactorStream {
     state_->retire_cv.notify_all();
     if (deadline_reaper.joinable()) deadline_reaper.join();
     drain();
-    if (!state_->stream.closed()) state_->stream.close();
   }
 
   [[nodiscard]] Stats stats() const {
     TILEDQR_CHECK(valid(), "FactorStream::stats: moved-from or empty stream handle");
     std::lock_guard<std::mutex> lock(state_->mu);
     return state_->snapshot_locked();
-  }
-
-  /// Ready-set generation of the underlying pool stream (components grafted).
-  [[nodiscard]] long generation() const {
-    TILEDQR_CHECK(valid(), "FactorStream::generation: moved-from or empty stream handle");
-    return state_->stream.generation();
   }
 
   /// The session-level live snapshot (FactorSession::health_report) from the
@@ -1041,18 +1027,13 @@ class FactorStream {
   /// The requests of one graft (one launch).
   using Parts = std::vector<std::shared_ptr<Request>>;
 
-  /// Shared stream state, and the stream's Route: components are appended
-  /// to the live pool stream, solve tails wait in `ready_applies` for the
+  /// Shared stream state, and the stream's Route: every graft runs under
+  /// the stream's worker cap, solve tails wait in `ready_applies` for the
   /// next flush point, and each resolution releases a backpressure slot.
   /// Worker callbacks outlive the handle's stack frames, so everything they
   /// touch lives here.
   struct State final : detail::Route<T> {
-    void send(const FusedPlan& fused, std::function<void(std::int32_t)> body,
-              std::function<void(std::exception_ptr)> done,
-              std::shared_ptr<const void> keepalive) override {
-      stream.append(fused.component_graph(), std::move(body), std::move(done),
-                    std::move(keepalive), &fused.component_ranks(), fused.copies());
-    }
+    int workers(int) const override { return worker_cap; }
 
     /// Queues a solve tail; every flush point grafts the whole queue as ONE
     /// fused component, so a burst of solves pays one graft for all its
@@ -1108,6 +1089,7 @@ class FactorStream {
       }
       pending.clear();
       inflight += long(out.size() - first);
+      tally.components += long(out.size() - first);
       for (size_t g = first; g < out.size(); ++g)
         if (out[g].size() > 1) tally.fused_requests += long(out[g].size());
       return true;
@@ -1121,17 +1103,16 @@ class FactorStream {
                        std::make_move_iterator(ready_applies.end()));
       ready_applies.clear();
       ++inflight;
+      ++tally.components;
     }
 
     [[nodiscard]] Stats snapshot_locked() const {
       Stats s = tally;
       s.pending = long(pending.size());
-      s.components = stream.generation();
       return s;
     }
 
     FactorSession* session = nullptr;
-    runtime::ThreadPool::Stream stream;
     FactorSession::StreamOptions opts;
     Options factor_opt;  ///< what every push factors with (tree, nb, ib, threads)
     int worker_cap = 0;  ///< pre-clamped; the tuner keys on this concurrency
@@ -1147,7 +1128,7 @@ class FactorStream {
     std::deque<std::shared_ptr<Request>> pending;
     std::deque<std::shared_ptr<Request>> ready_applies;  ///< built solve tails
     long inflight = 0;  ///< grafted components not yet retired
-    /// The Stats counters; `pending` and `components` are read live instead.
+    /// The Stats counters; `pending` is read live instead.
     Stats tally;
     /// When the pending backlog last went empty -> non-empty; the deadline
     /// thread grafts at oldest_pending + flush_deadline.
@@ -1179,7 +1160,6 @@ class FactorStream {
     state_->factor_opt = Options{opts.tree, opts.nb, opts.ib, opts.threads};
     state_->worker_cap = session->normalize_threads(state_->factor_opt);
     state_->opts = std::move(opts);
-    state_->stream = session->pool_.open_stream(state_->worker_cap);
     auto& registry = obs::MetricsRegistry::global();
     // Raw State pointer, not the shared_ptr: the handle lives inside State,
     // so a shared capture would be a self-cycle. It deregisters first in

@@ -43,52 +43,36 @@ CriticalPathBreakdown build_critical_path_breakdown(
   CriticalPathBreakdown b;
   const std::size_t ntasks = graph.tasks.size();
 
-  // Group events by (submission, component); a group is usable only if every
-  // task index fits the graph — a trace can hold several factorizations and
-  // only groups shaped like this graph can be joined against it.
+  // Group events by submission; a group is usable only if every task index
+  // fits the graph — a trace can hold several factorizations and only groups
+  // shaped like this graph can be joined against it.
   struct Group {
     long events = 0;
     std::int64_t last_end = std::numeric_limits<std::int64_t>::min();
     bool fits = true;
   };
-  std::map<std::pair<std::uint32_t, std::int32_t>, Group> groups;
+  std::map<std::uint32_t, Group> groups;
   for (const auto& t : tracks) {
     b.dropped += t.dropped;
     for (const auto& e : t.events) {
       if (e.start_ns < options.since_ns) continue;
-      Group& g = groups[{e.submission, e.component}];
+      Group& g = groups[e.submission];
       ++g.events;
       g.last_end = std::max(g.last_end, e.end_ns);
       if (e.task < 0 || std::size_t(e.task) >= ntasks) g.fits = false;
     }
   }
 
-  bool found = false;
-  std::pair<std::uint32_t, std::int32_t> key{};
-  if (options.submission != 0) {
-    for (const auto& [k, g] : groups) {
-      if (k.first != options.submission) continue;
-      if (options.component >= 0 && k.second != options.component) continue;
-      if (!g.fits) continue;
-      if (!found || g.events > groups[key].events ||
-          (g.events == groups[key].events && g.last_end > groups[key].last_end)) {
-        key = k;
-        found = true;
-      }
-    }
-  } else {
-    for (const auto& [k, g] : groups) {
-      if (!g.fits) continue;
-      if (!found || g.events > groups[key].events ||
-          (g.events == groups[key].events && g.last_end > groups[key].last_end)) {
-        key = k;
-        found = true;
-      }
+  const Group* best = nullptr;
+  for (const auto& [sub, g] : groups) {
+    if (!g.fits || (options.submission != 0 && sub != options.submission)) continue;
+    if (best == nullptr || g.events > best->events ||
+        (g.events == best->events && g.last_end > best->last_end)) {
+      best = &g;
+      b.submission = sub;
     }
   }
-  if (!found) return b;
-  b.submission = key.first;
-  b.component = key.second;
+  if (best == nullptr) return b;
 
   // Join the selected group: task id -> (event, track). A task recorded
   // twice (ring anomalies only) keeps its first event.
@@ -98,7 +82,7 @@ CriticalPathBreakdown build_critical_path_breakdown(
     int ti = -1;
     for (const auto& e : t.events) {
       if (e.start_ns < options.since_ns) continue;
-      if (e.submission != key.first || e.component != key.second) continue;
+      if (e.submission != b.submission) continue;
       if (ti < 0) {
         ti = int(track_names.size());
         track_names.push_back(t.name);
@@ -240,8 +224,8 @@ std::string format_critical_path_breakdown(const CriticalPathBreakdown& b) {
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "critical path (sub %u component %d): %ld tasks, realized %.3f ms\n",
-                b.submission, b.component, b.path_tasks, double(b.realized_ns) / 1e6);
+                "critical path (sub %u): %ld tasks, realized %.3f ms\n", b.submission,
+                b.path_tasks, double(b.realized_ns) / 1e6);
   out += line;
   const double rel = b.realized_ns > 0 ? 100.0 / double(b.realized_ns) : 0.0;
   std::snprintf(line, sizeof(line),

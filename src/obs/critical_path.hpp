@@ -2,9 +2,9 @@
 // run's makespan, and where the time the model doesn't predict went.
 //
 // The schedule report already states achieved-vs-model span; this module
-// explains the difference. Trace events carry the task index, submission id,
-// and component generation of every executed task, so they can be joined
-// against the plan's TaskGraph dependency edges. Walking backwards from the
+// explains the difference. Trace events carry the task index and submission
+// id of every executed task, so they can be joined against the plan's
+// TaskGraph dependency edges. Walking backwards from the
 // last-finishing task and, at every step, following the predecessor that
 // finished *last* (the dependency that actually gated the start) recovers
 // the realized critical chain — the paper's §5 critical path, measured
@@ -63,7 +63,7 @@ struct CriticalPathWorker {
   std::int64_t gap_ns = 0;    ///< incoming-edge gaps charged to this track
 };
 
-/// The decomposition of one traced component's makespan. All totals satisfy
+/// The decomposition of one traced submission's makespan. All totals satisfy
 /// realized_ns == work_ns + gap_ns and gap_ns == dispatch_gap_ns +
 /// cross_gap_ns by construction; `dropped` bounds the reconciliation error
 /// against the full-trace span (a dropped event can hide a longer chain).
@@ -73,7 +73,6 @@ struct CriticalPathBreakdown {
 
   bool valid = false;          ///< a chain of at least one task was found
   std::uint32_t submission = 0;  ///< trace submission id analyzed
-  std::int32_t component = 0;    ///< component generation analyzed
   long events_matched = 0;     ///< trace events joined against graph tasks
   long dropped = 0;            ///< ring-overflow losses over the window
 
@@ -102,18 +101,17 @@ struct CriticalPathBreakdown {
 
 struct BreakdownOptions {
   std::uint32_t submission = 0;  ///< 0 = auto-select (most events, then latest)
-  std::int32_t component = -1;   ///< -1 = auto-select with the submission
   int top_k = 5;                 ///< gap edges kept in top_gaps
   std::int64_t since_ns = 0;     ///< only events with start_ns >= this
   bool with_model = true;        ///< compute model_cp_seconds (live profile)
 };
 
-/// Reconstructs the realized critical chain of one (submission, component)
-/// group of `tracks` against `graph`'s dependency edges. Auto-selection
-/// picks the group with the most events whose task indices all fit the
-/// graph (ties: latest end time) — for a single-factorization trace that is
-/// simply "the run". Returns an invalid (valid == false) breakdown when no
-/// group matches.
+/// Reconstructs the realized critical chain of one submission's events in
+/// `tracks` against `graph`'s dependency edges. Auto-selection picks the
+/// submission with the most events whose task indices all fit the graph
+/// (ties: latest end time) — for a single-factorization trace that is simply
+/// "the run". Returns an invalid (valid == false) breakdown when no
+/// submission matches.
 [[nodiscard]] CriticalPathBreakdown build_critical_path_breakdown(
     const std::vector<TrackSnapshot>& tracks, const dag::TaskGraph& graph,
     const BreakdownOptions& options = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -12,6 +13,7 @@
 
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/stringf.hpp"
 #include "common/timer.hpp"
 #include "kernels/kernels.hpp"
 #include "obs/kernel_profile.hpp"
@@ -39,6 +41,31 @@ const char* kind_name(std::uint8_t kind) {
   return kind < kernels::kNumKernelKinds
              ? kernels::kernel_name(static_cast<kernels::KernelKind>(kind))
              : "task";
+}
+
+// The ranges HealthMonitor::Options documents. A period below 1 ms spins the
+// monitor thread, which locks every worker's ready set twice per pass; one
+// past a day is no watchdog, and far enough out overflows the nanosecond
+// conversions and the condition variable's deadline.
+bool period_ok(std::chrono::milliseconds d) {
+  return d >= std::chrono::milliseconds(1) && d <= std::chrono::hours(24);
+}
+bool factor_ok(double f) { return std::isfinite(f) && f >= 1.0; }
+
+HealthMonitor::Options checked(HealthMonitor::Options o) {
+  TILEDQR_CHECK(period_ok(o.poll),
+                stringf("HealthMonitor: poll must be in [1 ms, 1 day] (got %lld ms)",
+                        static_cast<long long>(o.poll.count())));
+  TILEDQR_CHECK(period_ok(o.stall_after),
+                stringf("HealthMonitor: stall_after must be in [1 ms, 1 day] (got %lld ms)",
+                        static_cast<long long>(o.stall_after.count())));
+  TILEDQR_CHECK(factor_ok(o.overrun_factor),
+                stringf("HealthMonitor: overrun_factor must be finite and >= 1 (got %g)",
+                        o.overrun_factor));
+  TILEDQR_CHECK(o.overrun_floor_ns >= 0,
+                stringf("HealthMonitor: overrun_floor_ns must be >= 0 (got %lld)",
+                        static_cast<long long>(o.overrun_floor_ns)));
+  return o;
 }
 
 }  // namespace
@@ -184,7 +211,7 @@ struct HealthMonitor::Impl {
 HealthMonitor::HealthMonitor(runtime::ThreadPool& pool) : HealthMonitor(pool, Options{}) {}
 
 HealthMonitor::HealthMonitor(runtime::ThreadPool& pool, Options options)
-    : impl_(std::make_unique<Impl>(pool, std::move(options))) {
+    : impl_(std::make_unique<Impl>(pool, checked(std::move(options)))) {
   if (g_live_monitors.fetch_add(1, std::memory_order_acq_rel) == 0) {
     task_observation_flags().fetch_or(kObsTaskHealth, std::memory_order_relaxed);
   }
@@ -224,9 +251,16 @@ std::unique_ptr<HealthMonitor> HealthMonitor::maybe_from_env(
   if (!env_flag("TILEDQR_HEALTH")) return nullptr;
   Options opt;
   if (auto path = env_string("TILEDQR_HEALTH_PATH")) opt.snapshot_path = *path;
-  opt.poll = std::chrono::milliseconds(env_long("TILEDQR_HEALTH_POLL_MS", 100));
-  opt.stall_after = std::chrono::milliseconds(env_long("TILEDQR_HEALTH_STALL_MS", 500));
-  opt.overrun_factor = env_double("TILEDQR_HEALTH_OVERRUN_FACTOR", 8.0);
+  // An out-of-range value keeps the default, as TILEDQR_THREADS does.
+  const auto period = [](const char* name, std::chrono::milliseconds fallback) {
+    const std::chrono::milliseconds v(env_long(name, long(fallback.count())));
+    return period_ok(v) ? v : fallback;
+  };
+  opt.poll = period("TILEDQR_HEALTH_POLL_MS", opt.poll);
+  opt.stall_after = period("TILEDQR_HEALTH_STALL_MS", opt.stall_after);
+  if (const double f = env_double("TILEDQR_HEALTH_OVERRUN_FACTOR", opt.overrun_factor);
+      factor_ok(f))
+    opt.overrun_factor = f;
   opt.report = std::move(report);
   install_sigusr1();
   return std::make_unique<HealthMonitor>(pool, std::move(opt));

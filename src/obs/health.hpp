@@ -49,13 +49,15 @@ namespace tiledqr::obs {
 class HealthMonitor {
  public:
   struct Options {
-    /// Watchdog / snapshot-request polling period.
+    /// Watchdog / snapshot-request polling period, in [1 ms, 1 day].
     std::chrono::milliseconds poll{100};
-    /// Idle-with-ready-work threshold before a worker counts as stalled.
+    /// Idle-with-ready-work threshold before a worker counts as stalled, in
+    /// [1 ms, 1 day].
     std::chrono::milliseconds stall_after{500};
     /// A task is an overrun when elapsed > overrun_factor x its kind's
     /// live-profile mean — and past overrun_floor_ns, so sub-microsecond
-    /// kernel means don't flag every scheduling hiccup.
+    /// kernel means don't flag every scheduling hiccup. The factor is finite
+    /// and >= 1, the floor >= 0.
     double overrun_factor = 8.0;
     std::int64_t overrun_floor_ns = 1'000'000;  // 1 ms
     /// Snapshot destination stem; metrics go to "<stem>", the report (when a
@@ -75,7 +77,9 @@ class HealthMonitor {
 
   /// Starts the monitor thread watching `pool`. Construction sets the
   /// kObsTaskHealth observation bit (workers start stamping); destruction
-  /// clears it when the last monitor dies and joins the thread. (Two
+  /// clears it when the last monitor dies and joins the thread. Throws
+  /// tiledqr::Error, before starting anything, when an option is out of
+  /// the range its comment gives. (Two
   /// overloads rather than `Options = {}`: GCC defers a nested class's
   /// default member initializers past the enclosing class, rejecting the
   /// brace default argument.)
@@ -107,8 +111,8 @@ class HealthMonitor {
   /// The env-var wiring: returns a live monitor watching `pool` with
   /// SIGUSR1 installed when TILEDQR_HEALTH=1 (nullptr otherwise), honoring
   /// TILEDQR_HEALTH_PATH, TILEDQR_HEALTH_POLL_MS, TILEDQR_HEALTH_STALL_MS,
-  /// and TILEDQR_HEALTH_OVERRUN_FACTOR. `report` becomes the snapshot's
-  /// report callback.
+  /// and TILEDQR_HEALTH_OVERRUN_FACTOR; an unparsable or out-of-range value
+  /// keeps its default. `report` becomes the snapshot's report callback.
   static std::unique_ptr<HealthMonitor> maybe_from_env(
       runtime::ThreadPool& pool, std::function<std::string()> report = nullptr);
 

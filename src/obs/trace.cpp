@@ -139,8 +139,7 @@ void Tracer::set_thread_track_name(const std::string& name) {
 
 void Tracer::record(std::int64_t start_ns, std::int64_t end_ns, std::uint8_t kind,
                     std::int32_t i, std::int32_t piv, std::int32_t k, std::int32_t j,
-                    std::int32_t task, std::uint32_t submission, std::int32_t component,
-                    bool stolen) {
+                    std::int32_t task, std::uint32_t submission, bool stolen) {
   if (!enabled()) return;
   Track* t = this_thread_track();
   std::size_t n = t->size.load(std::memory_order_relaxed);
@@ -153,7 +152,6 @@ void Tracer::record(std::int64_t start_ns, std::int64_t end_ns, std::uint8_t kin
   e.end_ns = end_ns;
   e.task = task;
   e.submission = submission;
-  e.component = component;
   e.i = i;
   e.piv = piv;
   e.k = k;
@@ -228,7 +226,6 @@ void Tracer::export_chrome_json(std::ostream& out) const {
       write_us(out, e.end_ns - e.start_ns);
       out << ",\"args\":{\"i\":" << e.i << ",\"piv\":" << e.piv << ",\"k\":" << e.k
           << ",\"j\":" << e.j << ",\"task\":" << e.task << ",\"sub\":" << e.submission
-          << ",\"component\":" << e.component
           << ",\"stolen\":" << ((e.flags & TraceEvent::kFlagStolen) ? 1 : 0) << "}}";
     }
   }

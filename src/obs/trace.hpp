@@ -49,9 +49,8 @@ namespace tiledqr::obs {
 struct TraceEvent {
   std::int64_t start_ns = 0;
   std::int64_t end_ns = 0;
-  std::int32_t task = -1;        ///< task index within its component's graph
+  std::int32_t task = -1;        ///< task index within its submission's graph
   std::uint32_t submission = 0;  ///< ThreadPool submission id (0 = none)
-  std::int32_t component = 0;    ///< component generation within the submission
   std::int32_t i = -1;           ///< tile coordinates of the kernel, -1 = n/a
   std::int32_t piv = -1;
   std::int32_t k = -1;
@@ -105,7 +104,7 @@ class Tracer {
   /// disabled. `kind` is kernels::KernelKind or TraceEvent::kNonKernel.
   void record(std::int64_t start_ns, std::int64_t end_ns, std::uint8_t kind, std::int32_t i,
               std::int32_t piv, std::int32_t k, std::int32_t j, std::int32_t task,
-              std::uint32_t submission, std::int32_t component, bool stolen);
+              std::uint32_t submission, bool stolen);
 
   /// Name the calling thread's track ("pool0.w3", ...). Binds a track to the
   /// thread if it has none yet (cheap; safe to call when disabled).

@@ -100,7 +100,6 @@ std::vector<TrackSnapshot> import_chrome_json(std::istream& in) {
       e.j = integer_or(*args, "j", std::int32_t{-1});
       e.task = integer_or(*args, "task", std::int32_t{-1});
       e.submission = integer_or(*args, "sub", std::uint32_t{0});
-      e.component = integer_or(*args, "component", std::int32_t{0});
       if (const json::Value* s = args->find("stolen");
           s != nullptr && s->type == json::Value::Type::Number && s->number != 0)
         e.flags |= TraceEvent::kFlagStolen;

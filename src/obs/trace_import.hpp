@@ -4,9 +4,10 @@
 // tools/tiledqr_analyze is the CLI wrapper.
 //
 // Only what the exporter writes is understood: "X" complete slices carrying
-// the tiledqr args (task/sub/component/i/piv/k/j/stolen) and "thread_name"
-// metadata. Slices without the args (foreign traces) import with defaults
-// and simply won't join against a task graph. Timestamps are converted back
+// the tiledqr args (task/sub/i/piv/k/j/stolen) and "thread_name" metadata.
+// Slices without the args (foreign traces) import with defaults and simply
+// won't join against a task graph; other args, such as the "component" that
+// older exports carry, are ignored. Timestamps are converted back
 // from microseconds to nanoseconds; the export's rebasing to the earliest
 // event is irrelevant to the analysis (only differences matter).
 #pragma once

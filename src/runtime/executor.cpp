@@ -48,7 +48,7 @@ void execute_sequential(const dag::TaskGraph& g, const std::function<void(std::i
       const std::int64_t t1 = obs::now_ns();
       const dag::Task& task = g.tasks[size_t(t)];
       g_tracer.record(t0, t1, std::uint8_t(task.kind), task.i, task.piv, task.k, task.j, t, sid,
-                      /*component=*/0, /*stolen=*/false);
+                      /*stolen=*/false);
       g_kernel_profiler.record(std::uint8_t(task.kind), t1 - t0);
     }
     ++done;

@@ -49,33 +49,39 @@ void pin_to_core(int wid) {
 }
 }  // namespace
 
-/// One DAG component of a submission. Tasks retire exactly once each —
-/// executed normally, or cancelled (skipped) once a task body of *this
-/// component* has thrown — so `remaining` always drains to zero and the
-/// component's completion fires even on failure. Sibling components are
-/// unaffected by a failure: they serve independent requests.
+/// One in-flight submission. Tasks retire exactly once each — executed
+/// normally, or cancelled (skipped) once a task body has thrown — so
+/// `remaining` always drains to zero and the completion fires even on
+/// failure. The worker that retires the last task runs the completion and
+/// deletes the submission.
 ///
-/// A component may be *replicated* (`copies > 1`): the scheduler runs
+/// A submission may be *replicated* (`copies > 1`): the scheduler runs
 /// `copies` independent instances of the base graph, with global task id
 /// = copy * stride + local (stride = base graph size). Dependencies never
 /// cross copies, graph/key lookups index by `local`, and the body receives
 /// the global id — exactly the task-id contract a materialized homogeneous
 /// fused graph had, without the count x graph memory.
 struct ThreadPool::Component {
-  Component(const dag::TaskGraph& g, int copies_, std::function<void(std::int32_t)> b,
+  Component(const dag::TaskGraph& g, int copies, std::function<void(std::int32_t)> b,
             std::function<void(std::exception_ptr)> done_cb,
             const std::vector<long>* borrowed_keys, std::vector<long> owned,
             std::shared_ptr<const void> keep)
       : graph(&g), body(std::move(b)), on_complete(std::move(done_cb)),
         keys_owned(std::move(owned)),
         keys(borrowed_keys ? borrowed_keys->data() : keys_owned.data()),
-        keepalive(std::move(keep)), stride(std::int32_t(g.tasks.size())), copies(copies_),
-        npred(g.tasks.size() * std::size_t(copies_)),
-        remaining(long(g.tasks.size()) * copies_) {
-    for (int c = 0; c < copies_; ++c)
+        keepalive(std::move(keep)), stride(std::int32_t(g.tasks.size())),
+        npred(g.tasks.size() * std::size_t(copies)), remaining(long(g.tasks.size()) * copies) {
+    for (int c = 0; c < copies; ++c)
       for (std::size_t t = 0; t < g.tasks.size(); ++t)
         npred[std::size_t(c) * g.tasks.size() + t].store(g.tasks[t].npred,
                                                          std::memory_order_relaxed);
+  }
+
+  [[nodiscard]] bool worker_in_set(int w, int pool_size) const noexcept {
+    if (worker_count >= pool_size) return true;
+    int rel = w - first_worker;
+    if (rel < 0) rel += pool_size;
+    return rel < worker_count;
   }
 
   const dag::TaskGraph* graph;
@@ -87,26 +93,18 @@ struct ThreadPool::Component {
   const long* keys;
   std::shared_ptr<const void> keepalive;
   std::int32_t stride;  ///< tasks per copy (= base graph size)
-  int copies;
   std::vector<std::atomic<std::int32_t>> npred;  ///< copies x stride
   std::atomic<long> remaining;
-  /// Owning submission. Raw: the submission outlives every queued item of
-  /// its components via its self-reference (cleared only once inflight hits
-  /// zero), so this pointer is valid for the component's whole queued life.
-  Submission* owner = nullptr;
-  /// Generation this component was born in — its id within the submission
-  /// for trace events. Written once under the submission mutex before any
-  /// item is dealt.
-  long gen = 0;
-  /// Home worker under component-affine dealing; -1 = dealt spread. Used
-  /// for the home-vs-foreign locality split in stats().
-  int home = -1;
+  /// Trace id: which submission an event belongs to (unique across pools and
+  /// the sequential replay).
+  std::uint32_t id = 0;
+  /// Worker set: worker_count workers from first_worker on, wrapping.
+  int first_worker = 0;
+  int worker_count = 0;
+  /// Set by the first task that throws; later tasks are cancelled.
   std::atomic<bool> failed{false};
-  /// Set (with release) after the retiring worker's LAST touch of this
-  /// component; the stream prune loop pops only flagged components, so a
-  /// concurrent retire of a sibling can never free state still in use.
-  std::atomic<bool> retired{false};
-  std::mutex err_mu;
+  /// The first task exception, written only by the task that set `failed`
+  /// and read by the retiring worker (ordered by `remaining`).
   std::exception_ptr error;
 
   /// Orders global task ids by descending key, ties by ascending id — the
@@ -120,84 +118,22 @@ struct ThreadPool::Component {
   }
 };
 
-/// One in-flight submission: an append-only, generation-counted set of DAG
-/// components sharing a worker set. The one-shot submit() closes it with a
-/// single component; a Stream keeps it open and grafts components onto the
-/// live submission. `components` is a deque so grafting never moves a
-/// component a racing worker still holds a pointer into.
-struct ThreadPool::Submission {
-  [[nodiscard]] bool worker_in_set(int w, int pool_size) const noexcept {
-    if (worker_count >= pool_size) return true;
-    int rel = w - first_worker;
-    if (rel < 0) rel += pool_size;
-    return rel < worker_count;
-  }
-
-  std::mutex mu;  ///< guards components growth/pruning, self_ref, and the open->closed flip
-  /// Append-only at the back (grafts), pruned from the front once fully
-  /// retired — but only for streams (`stream`): run() still reads the lone
-  /// component of a one-shot submission after it completes, and one-shot
-  /// submissions die wholesale anyway. Without pruning, a stream held open
-  /// for a server's lifetime would grow one Component shell per graft
-  /// forever; with it, memory is bounded by the in-flight window.
-  std::deque<Component> components;
-  /// Queue items are POD (no shared_ptr), so the submission keeps *itself*
-  /// alive while any component is in flight: set (under mu) whenever a
-  /// component is appended, cleared (under mu) by the retire path only once
-  /// inflight is observed zero again. Stream handles and waiters hold their
-  /// own shared_ptrs independently.
-  std::shared_ptr<Submission> self_ref;
-  /// Streaming submission: enables front-pruning (above) and deals each
-  /// component whole to a home worker from the pool-level rotation.
-  bool stream = false;
-  /// Trace id: which submission an event belongs to (unique across pools and
-  /// the sequential replay).
-  std::uint32_t id = 0;
-  /// The pool's streams-closed counter (engaged for streams only).
-  /// Incremented once — by the first close(), or from ~Submission when the
-  /// last handle was dropped without ever closing (`gauge_counted` guards
-  /// the double count).
-  std::shared_ptr<std::atomic<long>> streams_closed;
-  std::atomic<bool> gauge_counted{false};
-
-  ~Submission() {
-    if (streams_closed && gauge_counted.exchange(false, std::memory_order_acq_rel))
-      streams_closed->fetch_add(1, std::memory_order_relaxed);
-  }
-  /// closed is written under `mu` but read lock-free on the retire path; the
-  /// seq_cst store/load pairing with `inflight` resolves the close-vs-last-
-  /// retire race (exactly one side sees both conditions and finalizes).
-  std::atomic<bool> closed{false};
-  std::atomic<long> generation{0};  ///< components appended (ready-set generation)
-  /// Components whose last task retired — counted *before* the completion
-  /// callback, so a callback's chained graft already observes retired().
-  std::atomic<long> retired_components{0};
-  /// Components whose completion callback has returned — what wait() waits
-  /// on, so it never returns while a callback's effects are still landing.
-  std::atomic<long> completed_components{0};
-  std::atomic<long> inflight{0};  ///< appended minus retired
-  std::atomic<bool> done{false};  ///< closed && everything retired
-  int first_worker = 0;
-  int worker_count = 0;
-};
-
 /// Per-worker ready set: one lane per live submission the worker holds work
-/// for, all behind one mutex. Dealers (from any thread), the owner pushing
-/// ready successors, the owner's pop and thieves' steals all take `mu`.
+/// for, all behind one mutex. Submitters (from any thread), the owner
+/// pushing ready successors, the owner's pop and thieves' steals all take
+/// `mu`.
 ///
 /// Every push appends in ascending priority, so the owner pops LIFO from a
 /// lane's back — the most urgent item, whose inputs were just written — and
 /// thieves take the oldest from its front. The owner rotates round-robin
-/// across lanes, so one chatty stream's continuous grafts cannot bury
-/// another submission's items (the pop-side half of multi-stream fairness;
-/// the deal-side half is the pool-level graft rotation). A thief checks a
-/// lane's submission admits it before removing anything, so a capped
-/// submission's items only ever run inside its worker set.
+/// across lanes, so one submission's backlog cannot bury another's items. A
+/// thief checks a lane's submission admits it before removing anything, so a
+/// capped submission's items only ever run inside its worker set.
 struct ThreadPool::Worker {
   struct Lane {
     /// Compared only, except while `items` holds its tasks (which keep the
     /// submission alive).
-    Submission* sub = nullptr;
+    Component* comp = nullptr;
     std::deque<Item> items;  ///< empty = free for any submission
   };
 
@@ -240,14 +176,14 @@ struct ThreadPool::Worker {
     std::lock_guard<std::mutex> lock(mu);
     Lane* lane = nullptr;
     for (auto& l : lanes) {
-      if (l.sub == comp->owner) {
+      if (l.comp == comp) {
         lane = &l;
         break;
       }
       if (l.items.empty() && lane == nullptr) lane = &l;
     }
     if (lane == nullptr) lane = &lanes.emplace_back();
-    lane->sub = comp->owner;
+    lane->comp = comp;
     for (auto it = tasks.rbegin(); it != tasks.rend(); ++it) lane->items.push_back(Item{comp, *it});
   }
 
@@ -269,7 +205,7 @@ struct ThreadPool::Worker {
   bool steal(int thief, int pool_size, Item& out) {
     for (std::size_t k = 0; k < lanes.size(); ++k) {
       Lane& lane = lanes[(steal_rr + k) % lanes.size()];
-      if (lane.items.empty() || !lane.sub->worker_in_set(thief, pool_size)) continue;
+      if (lane.items.empty() || !lane.comp->worker_in_set(thief, pool_size)) continue;
       out = lane.items.front();
       lane.items.pop_front();
       steal_rr = (steal_rr + k + 1) % lanes.size();
@@ -303,8 +239,6 @@ ThreadPool::ThreadPool(int threads) {
         out.push_back({"graphs_completed", double(s.graphs_completed)});
         out.push_back({"tasks_executed", double(s.tasks_executed)});
         out.push_back({"tasks_stolen", double(s.tasks_stolen)});
-        out.push_back({"streams_opened", double(s.streams_opened)});
-        out.push_back({"streams_live", double(s.streams_live)});
         out.push_back({"steal_cas_retries", double(s.steal_cas_retries)});
         out.push_back({"empty_steal_probes", double(s.empty_steal_probes)});
         out.push_back({"tasks_home", double(s.tasks_home)});
@@ -337,23 +271,21 @@ ThreadPool::Stats ThreadPool::stats() const noexcept {
   // the same guarantee the old field-by-field code gave). The per-worker
   // counters are summed per pass; a sum of monotone counters is monotone,
   // so the agreement argument covers them too.
-  constexpr int kN = 9 + kStealLatencyBuckets;
+  constexpr int kN = 7 + kStealLatencyBuckets;
   long a[kN];
   long b[kN];
   auto read = [&](long v[kN]) {
     v[0] = graphs_completed_.load(std::memory_order_acquire);
     v[1] = tasks_executed_.load(std::memory_order_acquire);
     v[2] = tasks_stolen_.load(std::memory_order_acquire);
-    v[3] = streams_opened_.load(std::memory_order_acquire);
-    v[4] = streams_closed_->load(std::memory_order_acquire);
-    std::fill(v + 5, v + kN, 0L);
+    std::fill(v + 3, v + kN, 0L);
     for (const auto& w : workers_) {
-      v[5] += w->steal_cas_retries.load(std::memory_order_acquire);
-      v[6] += w->empty_steal_probes.load(std::memory_order_acquire);
-      v[7] += w->tasks_home.load(std::memory_order_acquire);
-      v[8] += w->tasks_foreign.load(std::memory_order_acquire);
+      v[3] += w->steal_cas_retries.load(std::memory_order_acquire);
+      v[4] += w->empty_steal_probes.load(std::memory_order_acquire);
+      v[5] += w->tasks_home.load(std::memory_order_acquire);
+      v[6] += w->tasks_foreign.load(std::memory_order_acquire);
       for (int k = 0; k < kStealLatencyBuckets; ++k)
-        v[9 + k] += w->steal_latency_hist[std::size_t(k)].load(std::memory_order_acquire);
+        v[7 + k] += w->steal_latency_hist[std::size_t(k)].load(std::memory_order_acquire);
     }
   };
   read(a);
@@ -366,13 +298,11 @@ ThreadPool::Stats ThreadPool::stats() const noexcept {
   s.graphs_completed = b[0];
   s.tasks_executed = b[1];
   s.tasks_stolen = b[2];
-  s.streams_opened = b[3];
-  s.streams_live = b[3] - b[4];
-  s.steal_cas_retries = b[5];
-  s.empty_steal_probes = b[6];
-  s.tasks_home = b[7];
-  s.tasks_foreign = b[8];
-  for (int k = 0; k < kStealLatencyBuckets; ++k) s.steal_latency_hist[std::size_t(k)] = b[9 + k];
+  s.steal_cas_retries = b[3];
+  s.empty_steal_probes = b[4];
+  s.tasks_home = b[5];
+  s.tasks_foreign = b[6];
+  for (int k = 0; k < kStealLatencyBuckets; ++k) s.steal_latency_hist[std::size_t(k)] = b[7 + k];
   return s;
 }
 
@@ -434,94 +364,6 @@ void ThreadPool::signal_work() {
   }
 }
 
-std::shared_ptr<ThreadPool::Submission> ThreadPool::make_submission(int max_workers, bool closed) {
-  auto sub = std::make_shared<Submission>();
-  sub->id = obs::next_trace_submission_id();
-  const int pool_size = size();
-  sub->worker_count = max_workers <= 0 ? pool_size : std::min(max_workers, pool_size);
-  sub->first_worker = int(next_start_.fetch_add(1, std::memory_order_relaxed) % unsigned(pool_size));
-  sub->closed.store(closed, std::memory_order_relaxed);
-  return sub;
-}
-
-ThreadPool::Component& ThreadPool::append_component(
-    const std::shared_ptr<Submission>& sub, const dag::TaskGraph& g,
-    std::function<void(std::int32_t)> body, std::function<void(std::exception_ptr)> on_complete,
-    SchedulePriority priority, std::shared_ptr<const void> keepalive,
-    const std::vector<long>* keys, bool check_closed, int copies) {
-  TILEDQR_CHECK(!g.tasks.empty(), "ThreadPool: empty graph handled by caller");
-  TILEDQR_CHECK(copies >= 1, "ThreadPool: copies must be >= 1");
-  TILEDQR_CHECK(!keys || keys->size() == g.tasks.size(),
-                "ThreadPool: keys must have one entry per task");
-  Component* comp = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(sub->mu);
-    if (check_closed)
-      TILEDQR_CHECK(!sub->closed.load(std::memory_order_relaxed),
-                    "ThreadPool::Stream::append: stream is closed");
-    const long gen = sub->generation.load(std::memory_order_relaxed) + 1;
-    comp = &sub->components.emplace_back(
-        g, copies, std::move(body), std::move(on_complete), keys,
-        keys ? std::vector<long>() : make_priority_keys(g, priority), std::move(keepalive));
-    comp->gen = gen;
-    comp->owner = sub.get();
-    // Queue items carry no ownership, so the submission must hold itself
-    // alive while components are in flight (idempotent re-arm on re-use).
-    sub->self_ref = sub;
-    // inflight before generation: wait() snapshots generation and must never
-    // see a generation whose component is not yet counted in flight.
-    sub->inflight.fetch_add(1, std::memory_order_seq_cst);
-    sub->generation.store(gen, std::memory_order_release);
-  }
-  active_submissions_.fetch_add(1, std::memory_order_acq_rel);
-
-  // Initial ready set: global source ids across all copies, in descending
-  // priority (ties broken ascending by id — the same total order the old
-  // materialized fused graphs produced). The component address is stable
-  // (deque) so racing workers on older generations are untouched.
-  const std::int32_t stride = comp->stride;
-  std::vector<std::int32_t> sources;
-  for (size_t t = 0; t < g.tasks.size(); ++t)
-    if (g.tasks[t].npred == 0)
-      for (int c = 0; c < copies; ++c)
-        sources.push_back(std::int32_t(c) * stride + std::int32_t(t));
-  comp->sort_most_urgent_first(sources);
-
-  const int pool_size = size();
-  if (sub->stream) {
-    // Component-affine dealing: the whole component goes to one home worker
-    // so a request's tiles stay in one cache; siblings steal only when idle.
-    // Homes rotate per component from the pool-level round shared by all
-    // streams.
-    const int slot = int(stream_deal_round_.fetch_add(1, std::memory_order_relaxed) %
-                         unsigned(sub->worker_count));
-    comp->home = (sub->first_worker + slot) % pool_size;
-    workers_[size_t(comp->home)]->push(comp, sources);
-  } else {
-    // Spread dealing of a one-shot submission: round-robin across its worker
-    // set, starting at first_worker (which rotates per submission).
-    std::vector<std::vector<std::int32_t>> dealt(size_t(sub->worker_count));
-    for (size_t i = 0; i < sources.size(); ++i)
-      dealt[i % size_t(sub->worker_count)].push_back(sources[i]);
-    for (int d = 0; d < sub->worker_count; ++d)
-      if (!dealt[size_t(d)].empty())
-        workers_[size_t((sub->first_worker + d) % pool_size)]->push(comp, dealt[size_t(d)]);
-  }
-  signal_work();
-  return *comp;
-}
-
-std::shared_ptr<ThreadPool::Submission> ThreadPool::submit_impl(
-    const dag::TaskGraph& g, std::function<void(std::int32_t)> body,
-    std::function<void(std::exception_ptr)> on_complete, SchedulePriority priority,
-    int max_workers, std::shared_ptr<const void> keepalive, const std::vector<long>* keys,
-    int copies) {
-  auto sub = make_submission(max_workers, /*closed=*/true);
-  append_component(sub, g, std::move(body), std::move(on_complete), priority,
-                   std::move(keepalive), keys, /*check_closed=*/false, copies);
-  return sub;
-}
-
 void ThreadPool::submit(const dag::TaskGraph& g, std::function<void(std::int32_t)> body,
                         std::function<void(std::exception_ptr)> on_complete,
                         SchedulePriority priority, int max_workers,
@@ -531,8 +373,41 @@ void ThreadPool::submit(const dag::TaskGraph& g, std::function<void(std::int32_t
     if (on_complete) on_complete(nullptr);
     return;
   }
-  submit_impl(g, std::move(body), std::move(on_complete), priority, max_workers,
-              std::move(keepalive), keys, copies);
+  TILEDQR_CHECK(copies >= 1, "ThreadPool: copies must be >= 1");
+  TILEDQR_CHECK(!keys || keys->size() == g.tasks.size(),
+                "ThreadPool: keys must have one entry per task");
+  auto owned = std::make_unique<Component>(
+      g, copies, std::move(body), std::move(on_complete), keys,
+      keys ? std::vector<long>() : make_priority_keys(g, priority), std::move(keepalive));
+  owned->id = obs::next_trace_submission_id();
+  const int pool_size = size();
+  const int count = max_workers <= 0 ? pool_size : std::min(max_workers, pool_size);
+  const int first = int(next_start_.fetch_add(1, std::memory_order_relaxed) % unsigned(pool_size));
+  owned->worker_count = count;
+  owned->first_worker = first;
+
+  // Initial ready set: global source ids across all copies, most urgent
+  // first (ties ascending by id), dealt round-robin across the worker set
+  // from first_worker on (which rotates per submission).
+  const std::int32_t stride = owned->stride;
+  std::vector<std::int32_t> sources;
+  for (size_t t = 0; t < g.tasks.size(); ++t)
+    if (g.tasks[t].npred == 0)
+      for (int c = 0; c < copies; ++c)
+        sources.push_back(std::int32_t(c) * stride + std::int32_t(t));
+  owned->sort_most_urgent_first(sources);
+  std::vector<std::vector<std::int32_t>> dealt(static_cast<size_t>(count));
+  for (size_t i = 0; i < sources.size(); ++i) dealt[i % size_t(count)].push_back(sources[i]);
+
+  // From here on the submission belongs to its queue items: the worker that
+  // retires its last task deletes it, which can happen as soon as the last
+  // source is queued, so this loop reads only locals.
+  active_submissions_.fetch_add(1, std::memory_order_acq_rel);
+  Component* comp = owned.release();
+  for (int d = 0; d < count; ++d)
+    if (!dealt[size_t(d)].empty())
+      workers_[size_t((first + d) % pool_size)]->push(comp, dealt[size_t(d)]);
+  signal_work();
 }
 
 std::future<void> ThreadPool::submit(const dag::TaskGraph& g,
@@ -554,22 +429,6 @@ std::future<void> ThreadPool::submit(const dag::TaskGraph& g,
   return future;
 }
 
-template <typename Pred>
-void ThreadPool::help_until(Pred done) {
-  // Completion bumps the epoch via signal_work, so a parked helper wakes for
-  // its predicate as well as for new work.
-  while (!done()) {
-    const long epoch = epoch_.load(std::memory_order_seq_cst);
-    if (try_run_one(tl_worker)) continue;
-    if (done()) break;
-    std::unique_lock<std::mutex> lock(sleep_mu_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    sleep_cv_.wait(lock,
-                   [&] { return done() || epoch_.load(std::memory_order_seq_cst) != epoch; });
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-  }
-}
-
 void ThreadPool::run(const dag::TaskGraph& g, const std::function<void(std::int32_t)>& body,
                      SchedulePriority priority, int max_workers, const std::vector<long>* keys) {
   if (g.tasks.empty()) return;
@@ -578,89 +437,30 @@ void ThreadPool::run(const dag::TaskGraph& g, const std::function<void(std::int3
     return;
   }
   // Re-entrant call from a task body: the calling worker helps execute until
-  // this submission retires (blocking would deadlock the pool).
-  auto sub = submit_impl(g, body, nullptr, priority, max_workers, nullptr, keys, 1);
-  help_until([&] { return sub->done.load(std::memory_order_acquire); });
-  Component& comp = sub->components.front();
-  std::lock_guard<std::mutex> lock(comp.err_mu);
-  if (comp.error) std::rethrow_exception(comp.error);
-}
-
-// ------------------------------------------------------------------ stream --
-
-ThreadPool::Stream ThreadPool::open_stream(int max_workers) {
-  Stream s;
-  s.pool_ = this;
-  s.sub_ = make_submission(max_workers, /*closed=*/false);
-  s.sub_->stream = true;  // prune retired grafts + component-affine dealing
-  s.sub_->streams_closed = streams_closed_;
-  s.sub_->gauge_counted.store(true, std::memory_order_release);
-  streams_opened_.fetch_add(1, std::memory_order_relaxed);
-  return s;
-}
-
-void ThreadPool::Stream::append(const dag::TaskGraph& g, std::function<void(std::int32_t)> body,
-                                std::function<void(std::exception_ptr)> on_complete,
-                                std::shared_ptr<const void> keepalive,
-                                const std::vector<long>* keys, int copies) {
-  TILEDQR_CHECK(valid(), "ThreadPool::Stream::append: empty stream handle");
-  if (g.tasks.empty()) {
-    if (on_complete) on_complete(nullptr);
-    return;
+  // this submission retires (blocking would deadlock the pool). Retirement
+  // bumps the epoch via signal_work, so a parked helper wakes for it as well
+  // as for new work.
+  std::atomic<bool> done{false};
+  std::exception_ptr error;
+  submit(
+      g, body,
+      [&](std::exception_ptr e) {
+        error = e;
+        done.store(true, std::memory_order_release);
+      },
+      priority, max_workers, nullptr, keys);
+  while (!done.load(std::memory_order_acquire)) {
+    const long epoch = epoch_.load(std::memory_order_seq_cst);
+    if (try_run_one(tl_worker)) continue;
+    std::unique_lock<std::mutex> lock(sleep_mu_);
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    sleep_cv_.wait(lock, [&] {
+      return done.load(std::memory_order_acquire) ||
+             epoch_.load(std::memory_order_seq_cst) != epoch;
+    });
+    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
   }
-  pool_->append_component(sub_, g, std::move(body), std::move(on_complete),
-                          SchedulePriority::CriticalPath, std::move(keepalive), keys,
-                          /*check_closed=*/true, copies);
-}
-
-void ThreadPool::Stream::close() {
-  TILEDQR_CHECK(valid(), "ThreadPool::Stream::close: empty stream handle");
-  {
-    std::lock_guard<std::mutex> lock(sub_->mu);
-    sub_->closed.store(true, std::memory_order_seq_cst);
-  }
-  if (sub_->gauge_counted.exchange(false, std::memory_order_acq_rel))
-    sub_->streams_closed->fetch_add(1, std::memory_order_relaxed);
-  pool_->finalize_if_drained(*sub_);
-}
-
-void ThreadPool::Stream::wait() {
-  TILEDQR_CHECK(valid(), "ThreadPool::Stream::wait: empty stream handle");
-  pool_->wait_stream(sub_, sub_->generation.load(std::memory_order_acquire));
-}
-
-long ThreadPool::Stream::generation() const noexcept {
-  return sub_ ? sub_->generation.load(std::memory_order_acquire) : 0;
-}
-
-long ThreadPool::Stream::retired() const noexcept {
-  return sub_ ? sub_->retired_components.load(std::memory_order_acquire) : 0;
-}
-
-bool ThreadPool::Stream::closed() const noexcept {
-  return sub_ ? sub_->closed.load(std::memory_order_acquire) : true;
-}
-
-void ThreadPool::finalize_if_drained(Submission& sub) {
-  if (sub.inflight.load(std::memory_order_seq_cst) != 0) return;
-  if (!sub.closed.load(std::memory_order_seq_cst)) return;
-  if (!sub.done.exchange(true, std::memory_order_acq_rel)) signal_work();
-}
-
-void ThreadPool::wait_stream(const std::shared_ptr<Submission>& sub, long up_to_generation) {
-  auto drained = [&] {
-    return sub->completed_components.load(std::memory_order_acquire) >= up_to_generation;
-  };
-  if (tl_pool == this) {
-    // Waiting from a pool worker (e.g. a task body draining a stream it
-    // feeds): help execute instead of deadlocking, like run().
-    help_until(drained);
-    return;
-  }
-  std::unique_lock<std::mutex> lock(sleep_mu_);
-  sleepers_.fetch_add(1, std::memory_order_seq_cst);
-  sleep_cv_.wait(lock, drained);
-  sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+  if (error) std::rethrow_exception(error);
 }
 
 // ----------------------------------------------------------------- workers --
@@ -749,24 +549,20 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
       comp.body(item.task);
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
       // Locality attribution (executed bodies only — cancelled tasks carry
-      // no cache traffic): on-home for affine components means "ran on the
-      // component's home worker"; spread components count un-stolen runs as
-      // home (the item ran where it was queued).
-      const bool on_home = comp.home >= 0 ? comp.home == wid : !stolen;
-      (on_home ? self.tasks_home : self.tasks_foreign).fetch_add(1, std::memory_order_relaxed);
+      // no cache traffic): an un-stolen item ran where it was queued.
+      (stolen ? self.tasks_foreign : self.tasks_home).fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(comp.err_mu);
-        if (!comp.error) comp.error = std::current_exception();
-      }
-      comp.failed.store(true, std::memory_order_release);
+      // The first failure wins; every later task of the submission is
+      // cancelled.
+      if (!comp.failed.exchange(true, std::memory_order_acq_rel))
+        comp.error = std::current_exception();
     }
     if (obs_flags != 0) {
       const std::int64_t t1 = obs::now_ns();
       if (obs_flags & obs::kObsTaskTrace) {
         const dag::Task& t = comp.graph->tasks[size_t(local)];
-        g_tracer.record(t0, t1, std::uint8_t(t.kind), t.i, t.piv, t.k, t.j, item.task,
-                        comp.owner->id, std::int32_t(comp.gen), stolen);
+        g_tracer.record(t0, t1, std::uint8_t(t.kind), t.i, t.piv, t.k, t.j, item.task, comp.id,
+                        stolen);
         g_kernel_profiler.record(std::uint8_t(t.kind), t1 - t0);
       }
       if (obs_flags & obs::kObsTaskHealth) {
@@ -775,9 +571,9 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
       }
     }
   }
-  // Propagate readiness even for cancelled tasks so the component drains and
-  // completion still fires after a failure. Successors stay within the same
-  // copy: global successor = copy_base + local successor.
+  // Propagate readiness even for cancelled tasks so the submission drains
+  // and completion still fires after a failure. Successors stay within the
+  // same copy: global successor = copy_base + local successor.
   std::vector<std::int32_t> ready;
   for (std::int32_t s : comp.graph->tasks[size_t(local)].succ)
     if (comp.npred[size_t(copy_base + s)].fetch_sub(1, std::memory_order_acq_rel) == 1)
@@ -788,62 +584,15 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
     signal_work();
   }
   if (comp.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Component retired. Fire its completion *before* decrementing inflight:
-    // a completion that grafts the next pipeline stage onto the stream keeps
-    // the submission observably non-drained throughout, so close()/wait()
-    // can never slip between the stages.
-    std::exception_ptr error;
-    {
-      std::lock_guard<std::mutex> lock(comp.err_mu);
-      error = comp.error;
-    }
+    // The submission retired (the acq_rel chain on `remaining` makes every
+    // task's writes, `error` included, visible here). Free it, and with it
+    // everything its closures captured, while the draining destructor still
+    // waits on active_submissions_.
     graphs_completed_.fetch_add(1, std::memory_order_relaxed);
-    // Count the retirement *before* firing the completion: anything that
-    // observes the callback's effects (a chained graft, a flag it sets) must
-    // also observe retired() covering this component. The inflight decrement
-    // below still comes after the callback, so close()/wait() can never see
-    // the submission drained between chained pipeline stages.
-    comp.owner->retired_components.fetch_add(1, std::memory_order_acq_rel);
-    if (comp.on_complete) comp.on_complete(error);
-    // Release everything the component captured: stream closures hold the
-    // FactorStream state, which holds this submission — clearing here breaks
-    // that cycle (and frees graphs/requests promptly). No task of this
-    // component can run again, so nothing else reads these fields.
-    comp.body = nullptr;
-    comp.on_complete = nullptr;
-    comp.keepalive.reset();
-    comp.keys_owned = std::vector<long>();
-    comp.npred = std::vector<std::atomic<std::int32_t>>();
-    Submission& sub = *comp.owner;
-    sub.completed_components.fetch_add(1, std::memory_order_release);
-    comp.retired.store(true, std::memory_order_release);  // last touch of comp
-    if (sub.stream) {
-      // Drop the fully-retired prefix so a long-lived stream's component
-      // list is bounded by its in-flight window, not its request history.
-      std::lock_guard<std::mutex> lock(sub.mu);
-      while (!sub.components.empty() &&
-             sub.components.front().retired.load(std::memory_order_acquire))
-        sub.components.pop_front();
-    }
-    if (sub.inflight.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-      finalize_if_drained(sub);
-      // Last in-flight component: drop the submission's self-reference —
-      // unless a racing append re-armed in between (it re-sets self_ref
-      // under mu, so checking inflight under the same mutex is exact).
-      // `reaper` may hold the final reference; it dies after our last
-      // touch of `sub` below.
-      std::shared_ptr<Submission> reaper;
-      {
-        std::lock_guard<std::mutex> lock(sub.mu);
-        if (sub.inflight.load(std::memory_order_seq_cst) == 0)
-          reaper = std::move(sub.self_ref);
-      }
-      active_submissions_.fetch_sub(1, std::memory_order_acq_rel);
-      signal_work();  // wake help-loops, stream waiters, and a draining destructor
-      return;         // `sub` must not be touched past this point
-    }
+    if (comp.on_complete) comp.on_complete(comp.error);
+    delete item.comp;
     active_submissions_.fetch_sub(1, std::memory_order_acq_rel);
-    signal_work();
+    signal_work();  // wake re-entrant run()s and a draining destructor
   }
 }
 

@@ -225,7 +225,7 @@ TEST(JsonUsers, TraceImportChecksIntegerFields) {
   EXPECT_EQ(base[0].events[0].start_ns, 1500);
   EXPECT_EQ(base[0].events[0].end_ns, 3500);
 
-  for (const char* field : {"tid", "i", "piv", "k", "j", "task", "sub", "component"}) {
+  for (const char* field : {"tid", "i", "piv", "k", "j", "task", "sub"}) {
     // Out of range of the TraceEvent member: an Error, never an undefined cast.
     EXPECT_THROW((void)import(one_event_trace(field, "1e300")), Error) << field;
     EXPECT_THROW((void)import(one_event_trace(field, "4294967296")), Error) << field;
@@ -286,7 +286,7 @@ std::vector<std::string> make_corpus() {
   tracer.set_thread_track_name(hostile);
   for (int e = 0; e < 6; ++e)
     tracer.record(1000 * e, 1000 * e + 750, std::uint8_t(e % 6), e, e - 1, e % 3, e - 2, e, 9,
-                  1, e % 2 == 1);
+                  e % 2 == 1);
   std::ostringstream trace;
   tracer.export_chrome_json(trace);
   tracer.disable();

@@ -19,7 +19,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -96,7 +98,7 @@ std::map<int, std::string> thread_names(const Value& doc) {
 TEST(Trace, DisabledModeRecordsNothing) {
   TracerGuard guard;
   EXPECT_FALSE(guard.tracer.enabled());
-  guard.tracer.record(10, 20, 0, 0, -1, -1, -1, 0, 1, 0, false);
+  guard.tracer.record(10, 20, 0, 0, -1, -1, -1, 0, 1, false);
   EXPECT_EQ(guard.tracer.event_count(), 0u);
   EXPECT_EQ(guard.tracer.dropped_count(), 0);
 
@@ -130,8 +132,8 @@ TEST(Trace, RecordsPairedEventsPerThread) {
       for (int e = 0; e < kEvents; ++e) {
         const std::int64_t t0 = obs::now_ns();
         const std::int64_t t1 = obs::now_ns();
-        guard.tracer.record(t0, t1, std::uint8_t(e % 6), e, -1, w, e, e,
-                            /*submission=*/7, /*component=*/w, (e % 2) != 0);
+        guard.tracer.record(t0, t1, std::uint8_t(e % 6), e, -1, w, e, e, /*submission=*/7,
+                            (e % 2) != 0);
       }
     });
   }
@@ -169,7 +171,7 @@ TEST(Trace, OverflowDropsAreCountedNotCorrupting) {
     guard.tracer.set_thread_track_name("overflow.w0");
     for (long e = 0; e < kRecords; ++e)
       guard.tracer.record(e, e + 1, 0, 1, -1, -1, -1, std::int32_t(e),
-                          /*submission=*/0xBEEF, 0, false);
+                          /*submission=*/0xBEEF, false);
   });
   writer.join();
 
@@ -194,7 +196,7 @@ TEST(Trace, OverflowDropsAreCountedNotCorrupting) {
 TEST(Trace, ClearResetsEventsAndDrops) {
   TracerGuard guard;
   guard.tracer.enable();
-  guard.tracer.record(1, 2, 0, 0, -1, -1, -1, 0, 1, 0, false);
+  guard.tracer.record(1, 2, 0, 0, -1, -1, -1, 0, 1, false);
   EXPECT_GE(guard.tracer.event_count(), 1u);
   guard.tracer.disable();
   guard.tracer.clear();
@@ -210,7 +212,7 @@ TEST(Trace, ExportedJsonIsValidAndComplete) {
     guard.tracer.set_thread_track_name("export.w0");
     for (int e = 0; e < 10; ++e)
       guard.tracer.record(1000 * e, 1000 * e + 500, std::uint8_t(e % 6), e, e + 1, -1, -1, e,
-                          3, 1, false);
+                          3, false);
   });
   writer.join();
 
@@ -257,8 +259,8 @@ TEST(Trace, TrackReuseClearsDeadThreadsEvents) {
   std::thread first([&guard] {
     guard.tracer.set_thread_track_name("reuse.old");
     for (int e = 0; e < 5; ++e)
-      guard.tracer.record(100 * e, 100 * e + 50, 0, e, -1, 0, -1, e,
-                          /*submission=*/11, /*component=*/1, false);
+      guard.tracer.record(100 * e, 100 * e + 50, 0, e, -1, 0, -1, e, /*submission=*/11,
+                          false);
   });
   first.join();
 
@@ -268,8 +270,8 @@ TEST(Trace, TrackReuseClearsDeadThreadsEvents) {
   std::thread second([&guard] {
     guard.tracer.set_thread_track_name("reuse.new");
     for (int e = 0; e < 2; ++e)
-      guard.tracer.record(1000 + 10 * e, 1005 + 10 * e, 0, e, -1, 0, -1, e,
-                          /*submission=*/12, /*component=*/1, false);
+      guard.tracer.record(1000 + 10 * e, 1005 + 10 * e, 0, e, -1, 0, -1, e, /*submission=*/12,
+                          false);
   });
   second.join();
 
@@ -292,7 +294,7 @@ TEST(Trace, ExportNowInsertsUniqueSuffix) {
   guard.tracer.enable();
   std::thread writer([&guard] {
     guard.tracer.set_thread_track_name("exportnow.w0");
-    guard.tracer.record(100, 200, 0, 0, -1, 0, -1, 0, 1, 1, false);
+    guard.tracer.record(100, 200, 0, 0, -1, 0, -1, 0, 1, false);
   });
   writer.join();
 
@@ -480,7 +482,6 @@ obs::TraceEvent task_event(std::int64_t start, std::int64_t end, std::uint8_t ki
   e.end_ns = end;
   e.task = task;
   e.submission = 1;
-  e.component = 1;
   e.i = task;
   e.k = 0;
   e.kind = kind;
@@ -517,7 +518,6 @@ TEST(CriticalPath, SyntheticChainDecomposesExactly) {
   const auto b = obs::build_critical_path_breakdown(tracks, chain_graph(), opt);
   ASSERT_TRUE(b.valid);
   EXPECT_EQ(b.submission, 1u);
-  EXPECT_EQ(b.component, 1);
   EXPECT_EQ(b.events_matched, 3);
   EXPECT_EQ(b.dropped, 0);
   EXPECT_EQ(b.path_tasks, 3);
@@ -618,15 +618,15 @@ TEST(CriticalPath, TracerMarkScopesBreakdown) {
   // Batch A: a chain run safely in the past (steady clock, so well below
   // any mark taken now). realized would be 900 ns.
   const std::int64_t past = obs::now_ns() - 1'000'000;
-  guard.tracer.record(past + 0, past + 100, 0, 0, -1, 0, -1, 0, 1, 1, false);
-  guard.tracer.record(past + 200, past + 500, 2, 1, 0, 0, -1, 1, 1, 1, false);
-  guard.tracer.record(past + 600, past + 900, 2, 2, 0, 0, -1, 2, 1, 1, false);
+  guard.tracer.record(past + 0, past + 100, 0, 0, -1, 0, -1, 0, 1, false);
+  guard.tracer.record(past + 200, past + 500, 2, 1, 0, 0, -1, 1, 1, false);
+  guard.tracer.record(past + 600, past + 900, 2, 2, 0, 0, -1, 2, 1, false);
 
   // Batch B after the mark: the same tasks re-run, realized 400 ns.
   const std::int64_t m = guard.tracer.mark();
-  guard.tracer.record(m + 1000, m + 1100, 0, 0, -1, 0, -1, 0, 1, 1, false);
-  guard.tracer.record(m + 1150, m + 1250, 2, 1, 0, 0, -1, 1, 1, 1, false);
-  guard.tracer.record(m + 1260, m + 1400, 2, 2, 0, 0, -1, 2, 1, 1, false);
+  guard.tracer.record(m + 1000, m + 1100, 0, 0, -1, 0, -1, 0, 1, false);
+  guard.tracer.record(m + 1150, m + 1250, 2, 1, 0, 0, -1, 1, 1, false);
+  guard.tracer.record(m + 1260, m + 1400, 2, 2, 0, 0, -1, 2, 1, false);
 
   // All six events are still in the ring for the exporter...
   EXPECT_EQ(guard.tracer.event_count(), 6u);
@@ -652,14 +652,14 @@ TEST(CriticalPath, ImportRoundTripMatchesDirectAnalysis) {
     guard.tracer.set_thread_track_name("rt.w0");
     bound.fetch_add(1);
     while (bound.load() < 2) std::this_thread::yield();
-    guard.tracer.record(1000, 1100, 0, 0, -1, 0, -1, 0, 1, 1, false);
+    guard.tracer.record(1000, 1100, 0, 0, -1, 0, -1, 0, 1, false);
   });
   std::thread w1([&guard, &bound] {
     guard.tracer.set_thread_track_name("rt.w1");
     bound.fetch_add(1);
     while (bound.load() < 2) std::this_thread::yield();
-    guard.tracer.record(1150, 1250, 2, 1, 0, 0, -1, 1, 1, 1, true);
-    guard.tracer.record(1260, 1400, 2, 2, 0, 0, -1, 2, 1, 1, false);
+    guard.tracer.record(1150, 1250, 2, 1, 0, 0, -1, 1, 1, true);
+    guard.tracer.record(1260, 1400, 2, 2, 0, 0, -1, 2, 1, false);
   });
   w0.join();
   w1.join();
@@ -696,11 +696,80 @@ TEST(CriticalPath, ImportRoundTripMatchesDirectAnalysis) {
     EXPECT_EQ(offline.top_gaps[i].stolen, direct.top_gaps[i].stolen);
     EXPECT_EQ(offline.top_gaps[i].pred_track, direct.top_gaps[i].pred_track);
   }
+
+  // A trace file written before the exporter dropped the per-slice
+  // "component" arg still loads: the importer ignores the arg, and the
+  // analysis is the same.
+  std::string legacy = out.str();
+  for (std::size_t pos = 0; (pos = legacy.find(",\"stolen\":", pos)) != std::string::npos;
+       pos += 24)
+    legacy.insert(pos, ",\"component\":1");
+  const std::string path = testing::TempDir() + "tiledqr_legacy_trace_" +
+                           std::to_string(::getpid()) + ".json";
+  std::ofstream(path) << legacy;
+  const auto legacy_tracks = obs::import_chrome_json(path);
+  std::remove(path.c_str());
+  const auto from_legacy = obs::build_critical_path_breakdown(legacy_tracks, graph, opt);
+  ASSERT_TRUE(from_legacy.valid);
+  EXPECT_EQ(from_legacy.events_matched, direct.events_matched);
+  EXPECT_EQ(from_legacy.path_tasks, direct.path_tasks);
+  EXPECT_EQ(from_legacy.realized_ns, direct.realized_ns);
+  EXPECT_EQ(from_legacy.work_ns, direct.work_ns);
+  EXPECT_EQ(from_legacy.gap_ns, direct.gap_ns);
+  EXPECT_EQ(from_legacy.stolen_edges, direct.stolen_edges);
 }
 
 // ------------------------------------------------------------------------
 // Health: the live watchdog layer. Real pools, real sleeps — thresholds are
 // chosen with wide margins so shared/TSan runners don't flake.
+
+TEST(Health, ConstructorRejectsOutOfRangeOptions) {
+  // A poll under 1 ms spins the monitor thread over every worker's ready
+  // set; one huge enough overflows the nanosecond conversions. Each bad
+  // value throws before the monitor starts.
+  runtime::ThreadPool pool(2);
+  using std::chrono::milliseconds;
+  const auto bad = [&](auto&& set) {
+    obs::HealthMonitor::Options o;
+    set(o);
+    EXPECT_THROW(obs::HealthMonitor monitor(pool, o), Error);
+  };
+  for (const milliseconds d : {milliseconds(-5), milliseconds(0), milliseconds(86'400'001),
+                               milliseconds::max()}) {
+    bad([&](auto& o) { o.poll = d; });
+    bad([&](auto& o) { o.stall_after = d; });
+  }
+  for (const double f : {0.5, -1.0, std::nan(""), std::numeric_limits<double>::infinity()})
+    bad([&](auto& o) { o.overrun_factor = f; });
+  bad([](auto& o) { o.overrun_floor_ns = -1; });
+
+  obs::HealthMonitor::Options edge;  // the bounds themselves are accepted
+  edge.poll = milliseconds(1);
+  edge.stall_after = std::chrono::hours(24);
+  edge.overrun_factor = 1.0;
+  edge.overrun_floor_ns = 0;
+  EXPECT_NO_THROW(obs::HealthMonitor monitor(pool, edge));
+}
+
+TEST(Health, EnvOutOfRangeValuesKeepTheirDefaults) {
+  const char* names[] = {"TILEDQR_HEALTH", "TILEDQR_HEALTH_POLL_MS", "TILEDQR_HEALTH_STALL_MS",
+                         "TILEDQR_HEALTH_OVERRUN_FACTOR"};
+  std::vector<std::optional<std::string>> saved;
+  for (const char* n : names) {
+    const char* v = std::getenv(n);
+    saved.push_back(v ? std::optional<std::string>(v) : std::nullopt);
+  }
+  setenv("TILEDQR_HEALTH", "1", 1);
+  setenv("TILEDQR_HEALTH_POLL_MS", "-5", 1);
+  setenv("TILEDQR_HEALTH_STALL_MS", "99999999999999", 1);
+  setenv("TILEDQR_HEALTH_OVERRUN_FACTOR", "nan", 1);
+  {
+    runtime::ThreadPool pool(2);
+    EXPECT_NE(obs::HealthMonitor::maybe_from_env(pool), nullptr);
+  }
+  for (std::size_t i = 0; i < saved.size(); ++i)
+    saved[i] ? setenv(names[i], saved[i]->c_str(), 1) : unsetenv(names[i]);
+}
 
 TEST(Health, OverrunWatchdogFlagsLongRunningTask) {
   runtime::ThreadPool pool(2);

@@ -422,7 +422,6 @@ TEST(FactorStream, MovedFromHandleGuardsThrow) {
   EXPECT_THROW(stream.flush(), Error);
   EXPECT_THROW(stream.drain(), Error);
   EXPECT_THROW((void)stream.stats(), Error);
-  EXPECT_THROW((void)stream.generation(), Error);
   EXPECT_THROW(stream.close(), Error);
   EXPECT_FALSE(stream.valid());
   // The moved-into handle works (and the moved-from destructor is a no-op).
@@ -550,9 +549,8 @@ TEST(FactorStream, FlushDeadlineCapsCoalescingLatency) {
 
 TEST(FactorStream, MoveAssignClosesTheOverwrittenStream) {
   // Re-opening a stream in place (`stream = session.stream(...)`) must close
-  // the old one: its in-flight requests resolve, its deadline thread joins,
-  // and the pool's live-stream gauge drops — nothing is orphaned with no
-  // handle left to close it.
+  // the old one: its in-flight requests resolve and its deadline thread
+  // joins — nothing is orphaned with no handle left to close it.
   QrSession session(QrSession::Config{2});
   QrSession::StreamOptions sopt;
   sopt.nb = 16;
@@ -562,13 +560,10 @@ TEST(FactorStream, MoveAssignClosesTheOverwrittenStream) {
   auto stream = session.stream<double>(sopt);
   auto a = random_matrix<double>(64, 32, 13);
   auto f = stream.push(ConstMatrixView<double>(a.view()));
-  EXPECT_EQ(session.pool_stats().streams_live, 1);
   stream = session.stream<double>(sopt);  // old stream closed by move-assign
   EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(session.pool_stats().streams_live, 1);  // only the new stream
   auto f2 = stream.push(ConstMatrixView<double>(a.view()));
   stream.close();
-  EXPECT_EQ(session.pool_stats().streams_live, 0);
   expect_bitwise(f.get().factors().to_dense(), f2.get().factors().to_dense(),
                  "same input across the reassignment");
 }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <mutex>
 #include <set>
 #include <string>
@@ -45,7 +46,7 @@ dag::TaskGraph fanout_graph(int width) {
   return g;
 }
 
-/// A single free-standing task; the smallest graftable component.
+/// A single free-standing task; the smallest submission.
 dag::TaskGraph one_task_graph() {
   dag::TaskGraph g;
   g.p = 1;
@@ -252,6 +253,16 @@ TEST(ThreadPool, ExceptionPropagatesThroughEveryPath) {
   // Persistent pool, async future.
   auto future = pool.submit(g, failing);
   EXPECT_THROW(future.get(), Error);
+  // Re-entrant run() from a task body: rethrown in that body.
+  std::atomic<bool> nested_threw{false};
+  pool.run(one_task_graph(), [&](std::int32_t) {
+    try {
+      pool.run(g, failing);
+    } catch (const Error&) {
+      nested_threw.store(true);
+    }
+  });
+  EXPECT_TRUE(nested_threw.load());
   // The pool survives failures and keeps executing.
   std::atomic<long> count{0};
   pool.run(g, [&](std::int32_t) { count.fetch_add(1); });
@@ -367,124 +378,53 @@ TEST(ThreadPool, EmptyGraphCompletesImmediately) {
   EXPECT_EQ(calls, 0);
 }
 
-// -------------------------------------------------------- streaming grafts --
-
-TEST(ThreadPoolStream, AppendsGraftOntoLiveSubmission) {
-  ThreadPool pool(4);
-  auto g = qr_graph(6, 3);
-  auto stream = pool.open_stream();
-  ASSERT_TRUE(stream.valid());
-  constexpr int kComponents = 10;
-  std::vector<std::unique_ptr<std::atomic<long>>> sums;
-  std::atomic<int> completions{0};
-  for (int i = 0; i < kComponents; ++i) sums.push_back(std::make_unique<std::atomic<long>>(0));
-  // Appends race with workers draining earlier generations — exactly the
-  // streaming regime (no stop-the-world between components).
-  for (int i = 0; i < kComponents; ++i) {
-    auto* sum = sums[size_t(i)].get();
-    stream.append(
-        g, [sum](std::int32_t t) { sum->fetch_add(t); },
-        [&completions](std::exception_ptr e) {
-          if (!e) completions.fetch_add(1);
-        });
-  }
-  EXPECT_EQ(stream.generation(), kComponents);
-  stream.wait();
-  EXPECT_EQ(stream.retired(), kComponents);
-  EXPECT_EQ(completions.load(), kComponents);
-  const long expect = long(g.tasks.size()) * long(g.tasks.size() - 1) / 2;
-  for (int i = 0; i < kComponents; ++i) EXPECT_EQ(sums[size_t(i)]->load(), expect) << i;
-  stream.close();
-  EXPECT_TRUE(stream.closed());
-}
-
-TEST(ThreadPoolStream, AppendAfterCloseThrows) {
-  ThreadPool pool(2);
-  auto g = qr_graph(3, 2);
-  auto stream = pool.open_stream();
-  stream.append(g, [](std::int32_t) {});
-  stream.close();
-  stream.close();  // idempotent
-  EXPECT_THROW(stream.append(g, [](std::int32_t) {}), Error);
-  stream.wait();
-  EXPECT_EQ(stream.retired(), 1);
-}
-
-TEST(ThreadPoolStream, ComponentFailureDoesNotCancelSiblings) {
+TEST(ThreadPool, FailureDoesNotCancelAConcurrentSubmission) {
+  // A task failure cancels only its own submission's remaining tasks: a
+  // submission running next to it (another request) runs every task, and
+  // the pool keeps accepting work.
   ThreadPool pool(2);
   auto g = qr_graph(8, 4);
-  auto stream = pool.open_stream();
   std::atomic<long> good_tasks{0};
-  std::atomic<bool> bad_failed{false};
-  stream.append(g, [](std::int32_t t) {
+  auto bad = pool.submit(g, [](std::int32_t t) {
     if (t == 5) throw Error("injected");
-  }, [&](std::exception_ptr e) { bad_failed.store(e != nullptr); });
-  stream.append(g, [&](std::int32_t) { good_tasks.fetch_add(1); });
-  stream.wait();
-  EXPECT_TRUE(bad_failed.load());
+  });
+  auto good = pool.submit(g, [&](std::int32_t) { good_tasks.fetch_add(1); });
+  EXPECT_THROW(bad.get(), Error);
+  good.get();
   EXPECT_EQ(good_tasks.load(), long(g.tasks.size()));
-  // The stream keeps accepting work after a component failure.
   std::atomic<long> more{0};
-  stream.append(g, [&](std::int32_t) { more.fetch_add(1); });
-  stream.wait();
+  pool.run(g, [&](std::int32_t) { more.fetch_add(1); });
   EXPECT_EQ(more.load(), long(g.tasks.size()));
 }
 
-TEST(ThreadPoolStream, ChainedAppendFromCompletionCallback) {
-  // A completion callback grafts the next pipeline stage onto the same
-  // stream (the solve-pipeline pattern); wait() must cover the chained
-  // generation once it observes it.
-  ThreadPool pool(2);
+TEST(ThreadPool, CompletionCallbackSubmitsTheNextGraph) {
+  // A completion callback, running on the worker that retired its
+  // submission, submits the next stage: the solve pipeline's pattern, and
+  // how a retiring FactorStream graft launches the next one. Declared
+  // before the pool, so its draining destructor runs while they live.
   auto g = qr_graph(4, 2);
-  auto stream = pool.open_stream();
   std::atomic<long> second_stage{0};
-  std::atomic<bool> chained{false};
-  stream.append(g, [](std::int32_t) {}, [&](std::exception_ptr) {
-    stream.append(g, [&](std::int32_t) { second_stage.fetch_add(1); },
-                  [&](std::exception_ptr) { chained.store(true); });
+  std::promise<void> chained;
+  std::future<void> chained_done = chained.get_future();
+  ThreadPool pool(2);
+  pool.submit(g, [](std::int32_t) {}, [&](std::exception_ptr e) {
+    EXPECT_EQ(e, nullptr);
+    pool.submit(g, [&](std::int32_t) { second_stage.fetch_add(1); },
+                [&](std::exception_ptr) { chained.set_value(); });
   });
-  while (!chained.load()) stream.wait();
+  chained_done.get();
   EXPECT_EQ(second_stage.load(), long(g.tasks.size()));
-  EXPECT_EQ(stream.generation(), 2);
-  EXPECT_EQ(stream.retired(), 2);
+  EXPECT_EQ(pool.stats().graphs_completed, 2);
 }
 
-TEST(ThreadPoolStream, CappedStreamConfinedToWorkerSubset) {
-  ThreadPool pool(6);
-  auto g = fanout_graph(200);
-  auto stream = pool.open_stream(/*max_workers=*/2);
-  std::mutex mu;
-  std::set<std::thread::id> ids;
-  for (int i = 0; i < 3; ++i)
-    stream.append(g, [&](std::int32_t) {
-      std::lock_guard<std::mutex> lock(mu);
-      ids.insert(std::this_thread::get_id());
-    });
-  stream.wait();
-  EXPECT_LE(ids.size(), 2u);
-}
-
-TEST(ThreadPoolStream, OpenIdleStreamDoesNotBlockPoolDestructor) {
-  auto pool = std::make_unique<ThreadPool>(2);
-  auto stream = pool->open_stream();
-  auto g = qr_graph(3, 2);
-  std::atomic<long> count{0};
-  stream.append(g, [&](std::int32_t) { count.fetch_add(1); });
-  stream.wait();
-  // Stream never closed; the destructor must drain what was appended and
-  // return (an open, idle stream holds no in-flight work).
-  pool.reset();
-  EXPECT_EQ(count.load(), long(g.tasks.size()));
-}
-
-TEST(ThreadPoolStream, TwoStreamsInterleaveFairly) {
-  // The multi-stream fairness contract, deterministic at a 2-worker pool:
-  // block both workers behind 1-task gate submissions (each capped to a
-  // single-worker set), pile K components of stream A and then K of stream B
-  // into the ready queues, release the gates, and record the completion
-  // order. Per-submission worker queues with round-robin pop must interleave
-  // the two streams; the old single LIFO deque would drain the entire
-  // later-pushed stream before the earlier one's backlog (all-B-then-all-A).
+TEST(ThreadPool, QueuedSubmissionsInterleaveFairly) {
+  // The per-worker lane rotation, deterministic at a 2-worker pool: block
+  // both workers behind 1-task gate submissions (each capped to a single
+  // worker), queue two replicated submissions of k one-task copies, A then
+  // B, release the gates, and record the order the tasks run in. Each worker
+  // holds one lane per submission and alternates between them, so A and B
+  // interleave; one LIFO deque per worker would run all of B before A's
+  // backlog.
   const int k = env_flag("TILEDQR_STRESS") ? 32 : 16;
   ThreadPool pool(2);
   auto gate_graph = one_task_graph();
@@ -501,101 +441,38 @@ TEST(ThreadPoolStream, TwoStreamsInterleaveFairly) {
   while (started.load() < 2) std::this_thread::yield();
 
   auto g = one_task_graph();
-  auto stream_a = pool.open_stream();
-  auto stream_b = pool.open_stream();
   std::mutex order_mu;
-  std::string order;  // completion tags, e.g. "ABABAB..."
+  std::string order;  // task tags in run order, e.g. "ABABAB..."
   auto tag = [&](char c) {
-    return [&, c](std::exception_ptr) {
+    return [&, c](std::int32_t) {
       std::lock_guard<std::mutex> lock(order_mu);
       order.push_back(c);
     };
   };
-  for (int i = 0; i < k; ++i) stream_a.append(g, [](std::int32_t) {}, tag('A'));
-  for (int i = 0; i < k; ++i) stream_b.append(g, [](std::int32_t) {}, tag('B'));
+  auto a = pool.submit(g, tag('A'), SchedulePriority::CriticalPath, 0, nullptr, nullptr, k);
+  auto b = pool.submit(g, tag('B'), SchedulePriority::CriticalPath, 0, nullptr, nullptr, k);
   release.store(true);
   gate1.get();
   gate2.get();
-  stream_a.wait();
-  stream_b.wait();
-  stream_a.close();
-  stream_b.close();
+  a.get();
+  b.get();
 
   ASSERT_EQ(order.size(), size_t(2 * k));
   // Strict per-worker alternation merged across two workers (plus bounded
   // steal and record-reorder effects) keeps every prefix nearly balanced;
-  // the old single-LIFO scheduler's signature is a full one-stream run,
-  // i.e. an imbalance of k. The slack covers sanitizer-grade preemption.
+  // one submission run whole is an imbalance of k. The slack covers
+  // sanitizer-grade preemption.
   int balance = 0, worst = 0;
   for (char c : order) {
     balance += c == 'A' ? 1 : -1;
     worst = std::max(worst, std::abs(balance));
   }
-  EXPECT_LE(worst, 6) << "completion order: " << order;
-  // And directly: the first half of the completions is NOT one stream's
-  // entire backlog.
+  EXPECT_LE(worst, 6) << "run order: " << order;
+  // And directly: the first half of the run is NOT one submission's entire
+  // backlog.
   const auto half = order.substr(0, size_t(k));
   EXPECT_GE(std::count(half.begin(), half.end(), 'A'), k / 8) << order;
   EXPECT_GE(std::count(half.begin(), half.end(), 'B'), k / 8) << order;
-}
-
-TEST(ThreadPoolStream, WaitCoversCompletionCallbacks) {
-  // wait() must not return while a component's completion callback is still
-  // running: callers read the callback's effects right after it. The body
-  // retires the component at once; the callback then sleeps, and wait() is
-  // called well inside that sleep.
-  ThreadPool pool(2);
-  auto g = one_task_graph();
-  auto stream = pool.open_stream();
-  std::atomic<bool> body_ran{false};
-  std::atomic<bool> callback_done{false};
-  stream.append(
-      g, [&](std::int32_t) { body_ran.store(true); },
-      [&](std::exception_ptr) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        callback_done.store(true);
-      });
-  while (!body_ran.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  stream.wait();
-  EXPECT_TRUE(callback_done.load());
-  EXPECT_EQ(stream.retired(), 1);
-  stream.close();
-}
-
-TEST(ThreadPoolStream, LiveStreamGaugeTracksOpenAndClose) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.stats().streams_live, 0);
-  auto s1 = pool.open_stream();
-  auto s2 = pool.open_stream();
-  EXPECT_EQ(pool.stats().streams_live, 2);
-  EXPECT_EQ(pool.stats().streams_opened, 2);
-  s1.close();
-  s1.close();  // idempotent: the gauge drops once
-  EXPECT_EQ(pool.stats().streams_live, 1);
-  s2.close();
-  EXPECT_EQ(pool.stats().streams_live, 0);
-  EXPECT_EQ(pool.stats().streams_opened, 2);
-  {
-    // A handle dropped without close() must not leave a phantom live stream.
-    auto abandoned = pool.open_stream();
-    EXPECT_EQ(pool.stats().streams_live, 1);
-  }
-  EXPECT_EQ(pool.stats().streams_live, 0);
-}
-
-TEST(ThreadPoolStream, StatsCountStreamsAndComponents) {
-  ThreadPool pool(2);
-  auto g = qr_graph(3, 2);
-  auto s1 = pool.open_stream();
-  auto s2 = pool.open_stream();
-  s1.append(g, [](std::int32_t) {});
-  s2.append(g, [](std::int32_t) {});
-  s1.wait();
-  s2.wait();
-  auto stats = pool.stats();
-  EXPECT_EQ(stats.streams_opened, 2);
-  EXPECT_EQ(stats.graphs_completed, 2);  // one per component, like submit()
 }
 
 }  // namespace

@@ -36,14 +36,6 @@ namespace {
 using tiledqr::obs::TraceEvent;
 using tiledqr::obs::TrackSnapshot;
 
-struct GroupKey {
-  std::uint32_t sub = 0;
-  std::int32_t component = 0;
-  bool operator<(const GroupKey& o) const {
-    return sub != o.sub ? sub < o.sub : component < o.component;
-  }
-};
-
 // Rebuilds the DAG of one traced factorization: its tasks, sorted by the
 // task index the runtime recorded, must form exactly 0..n-1; dependencies
 // are re-inferred from kinds + tile coordinates. The grid is sized from the
@@ -103,13 +95,13 @@ int main(int argc, char** argv) {
     // the breakdown's model critical path uses means measured from this
     // trace (the offline stand-in for the live profile).
     long total_events = 0;
-    std::map<GroupKey, std::vector<const TraceEvent*>> groups;
+    std::map<std::uint32_t, std::vector<const TraceEvent*>> groups;  // by submission
     for (const auto& t : tracks) {
       total_events += long(t.events.size());
       for (const auto& e : t.events) {
         if (e.kind < tiledqr::obs::KernelProfiler::kKinds) {
           tiledqr::obs::KernelProfiler::global().record(e.kind, e.end_ns - e.start_ns);
-          if (e.task >= 0) groups[{e.submission, e.component}].push_back(&e);
+          if (e.task >= 0) groups[e.submission].push_back(&e);
         }
       }
     }
@@ -126,15 +118,12 @@ int main(int argc, char** argv) {
         std::max_element(groups.begin(), groups.end(), [](const auto& a, const auto& b) {
           return a.second.size() < b.second.size();
         });
-    const GroupKey key = largest->first;
     const tiledqr::dag::TaskGraph graph = rebuild_graph(largest->second);
-    std::printf("rebuilt DAG for sub %u component %d: %d x %d tiles, %zu tasks, %zu edges\n",
-                key.sub, key.component, graph.p, graph.q, graph.tasks.size(),
-                graph.edge_count());
+    std::printf("rebuilt DAG for sub %u: %d x %d tiles, %zu tasks, %zu edges\n", largest->first,
+                graph.p, graph.q, graph.tasks.size(), graph.edge_count());
 
     tiledqr::obs::BreakdownOptions opt;
-    opt.submission = key.sub;
-    opt.component = key.component;
+    opt.submission = largest->first;
     opt.top_k = top_k;
     const auto breakdown = tiledqr::obs::build_critical_path_breakdown(tracks, graph, opt);
     if (!breakdown.valid) {
